@@ -17,7 +17,8 @@ import numpy as np
 from . import metrics, ris
 from .arrays import PatternGrid
 from .design import design_closed_form, design_finite_l
-from .geometry import EmptyCoverError, SolidAngle, cover_set, from_psi
+from .geometry import (AngularRect, EmptyCoverError, PsiPoint, SolidAngle, cover_set,
+                       from_psi)
 from .scenario import ConfigError, ScenarioConfig, load_scenario, parse_angle, resolve_eta
 from .svgplot import heatmap_svg
 
@@ -26,8 +27,13 @@ class DesignError(RuntimeError):
     """Design stage failed (empty cover, degenerate inputs)."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _row_format(floats: int, lead: str = "") -> str:
+    """%-format of one CSV row: ``lead``, then ``floats`` values as %.17g.
+
+    ``"%.17g" % x`` prints exactly what ``format(x, ".17g")`` does, so a
+    whole row formats in one call.
+    """
+    return lead + ",".join(["%.17g"] * floats)
 
 
 def _write_text(path: Path, text: str):
@@ -89,11 +95,11 @@ def cmd_design(args) -> int:
     cover, params, result, config = _run_design(scenario)
     out = _out_dir(scenario, args)
 
+    row = _row_format(2, lead="%d,%d,")
     lines = ["m_v,m_h,beta,theta_radians"]
     for m_v in range(scenario.geom.m_v):
-        for m_h in range(scenario.geom.m_h):
-            lines.append(f"{m_v},{m_h},{_fmt(config.betas[m_v, m_h])},"
-                         f"{_fmt(config.thetas[m_v, m_h])}")
+        lines += [row % (m_v, m_h, beta, theta) for m_h, (beta, theta) in enumerate(
+            zip(config.betas[m_v].tolist(), config.thetas[m_v].tolist()))]
     _write_text(out / "ris_coefficients.csv", "\n".join(lines) + "\n")
 
     meta = {
@@ -120,11 +126,14 @@ def cmd_design(args) -> int:
 
 
 def pattern_csv_text(grid_pattern: PatternGrid) -> str:
-    header = "xi_zeta," + ",".join(_fmt(z) for z in grid_pattern.zeta_samples)
-    lines = [header]
-    for i, xi in enumerate(grid_pattern.xi_samples):
-        row_db = (metrics.to_db(g) for g in grid_pattern.gains[i])
-        lines.append(_fmt(xi) + "," + ",".join(_fmt(v) for v in row_db))
+    zeta = grid_pattern.zeta_samples.tolist()
+    row = _row_format(len(zeta) + 1)
+    lines = [_row_format(len(zeta), lead="xi_zeta,") % tuple(zeta)]
+    # Row by row, so no whole-grid list of Python floats is held; each dB
+    # value goes through math.log10 (metrics.to_db), since np.log10 can
+    # differ in the last bit, which %.17g prints.
+    for xi, gains in zip(grid_pattern.xi_samples.tolist(), grid_pattern.gains):
+        lines.append(row % (xi, *map(metrics.to_db, gains.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -174,6 +183,7 @@ def cmd_cuts(args) -> int:
     source = _pattern_source(scenario, result, config)
     out = _out_dir(scenario, args)
 
+    row = _row_format(2)
     summary = []
     for i, spec_ in enumerate(cut_specs):
         try:
@@ -183,8 +193,8 @@ def cmd_cuts(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         lines = ["angle_radians,gain_db"]
-        lines += [f"{_fmt(a)},{_fmt(g)}"
-                  for a, g in zip(profile.angles, profile.gains_db)]
+        lines += [row % pair for pair in zip(profile.angles.tolist(),
+                                             profile.gains_db.tolist())]
         name = f"cut_{i:02d}_{spec_['axis']}.csv"
         _write_text(out / name, "\n".join(lines) + "\n")
         summary.append({
@@ -248,11 +258,10 @@ def _lobe_centers(scenario: ScenarioConfig):
     centers = []
     for lobe in scenario.spec.lobes:
         rect = lobe.rects[0]
-        if hasattr(rect, "phi_min"):
+        if isinstance(rect, AngularRect):
             centers.append(SolidAngle((rect.phi_min + rect.phi_max) / 2,
                                       (rect.theta_min + rect.theta_max) / 2))
         else:
-            from .geometry import PsiPoint
             mid = PsiPoint((rect.xi_min + rect.xi_max) / 2,
                            (rect.zeta_min + rect.zeta_max) / 2)
             centers.append(from_psi(mid, scenario.geom))
@@ -310,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--resolution", default=None,
                        help="pattern resolution NxM, overrides the config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized demos (unused by the "
-                            "deterministic commands)")
 
     p = sub.add_parser("design", help="write the per-element coefficient table")
     common(p)

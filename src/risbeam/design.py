@@ -373,14 +373,26 @@ def dd_h_deviation(grid: PsiGrid, geom: ArrayGeometry, l_v: int, l_h: int) -> fl
     Zero exactly when every sampled axis spans a full 2*pi period (the
     per-axis sample phases are then roots of unity and cross terms cancel);
     positive otherwise, quantifying the error the approximate solve makes.
+
+    D D^H = G_v (x) G_h, so with c_a = L_a*Q_a and E_a = G_a - c_a*I the
+    deviation is E_v (x) G_h + c_v*I (x) E_h.  Every diagonal entry of G_a
+    is a sum of c_a unit magnitudes, so tr E_a = 0 and the two terms are
+    orthogonal: the squared norm is ||E_v||^2 ||G_h||^2 + c_v^2 M_v ||E_h||^2,
+    from per-axis matrices alone, never the M x M Kronecker product.  Both
+    terms are small when the deviation is; expanding through ||G_v||^2 ||G_h||^2
+    and tr G_v tr G_h instead subtracts terms of order c^2 M and loses the
+    exact zero to cancellation.
     """
-    g_v_mat = _axis_normal_matrix(
+    g_v = _axis_normal_matrix(
         _axis_sample_points(grid.xi_bound, grid.delta_v, grid.q_v, l_v), geom.m_v)
-    g_h_mat = _axis_normal_matrix(
+    g_h = _axis_normal_matrix(
         _axis_sample_points(grid.zeta_bound, grid.delta_h, grid.q_h, l_h), geom.m_h)
-    lq = l_v * l_h * grid.q
-    full = np.kron(g_v_mat, g_h_mat) - lq * np.eye(geom.m)
-    return float(np.linalg.norm(full) / (lq * math.sqrt(geom.m)))
+    c_v, c_h = l_v * grid.q_v, l_h * grid.q_h
+    norm_e_v = np.linalg.norm(g_v - c_v * np.eye(geom.m_v))
+    norm_e_h = np.linalg.norm(g_h - c_h * np.eye(geom.m_h))
+    deviation = math.hypot(norm_e_v * np.linalg.norm(g_h),
+                           c_v * math.sqrt(geom.m_v) * norm_e_h)
+    return float(deviation / (c_v * c_h * math.sqrt(geom.m)))
 
 
 def eta_objective(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,

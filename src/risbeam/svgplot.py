@@ -24,13 +24,23 @@ _VIRIDIS = [
 ]
 
 
-def _color(frac: float) -> str:
-    frac = min(1.0, max(0.0, frac))
+_ANCHORS = np.array(_VIRIDIS, dtype=float)
+_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
+
+
+def _colors(frac: np.ndarray) -> np.ndarray:
+    """Hex colours of an array of fractions, clamped to [0, 1] (NaN reads as 0).
+
+    The arithmetic is the scalar interpolation's, element by element, and
+    np.rint rounds half to even like Python's round, so each colour is
+    the one a per-value loop would give.
+    """
+    frac = np.fmin(1.0, np.fmax(0.0, frac))
     pos = frac * (len(_VIRIDIS) - 1)
-    i = min(int(pos), len(_VIRIDIS) - 2)
-    w = pos - i
-    rgb = [round((1 - w) * a + w * b) for a, b in zip(_VIRIDIS[i], _VIRIDIS[i + 1])]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    i = np.minimum(pos.astype(np.intp), len(_VIRIDIS) - 2)
+    w = (pos - i)[..., None]
+    rgb = np.rint((1 - w) * _ANCHORS[i] + w * _ANCHORS[i + 1]).astype(np.intp)
+    return "#" + _HEX[rgb[..., 0]] + _HEX[rgb[..., 1]] + _HEX[rgb[..., 2]]
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
@@ -71,14 +81,15 @@ def heatmap_svg(gains_db: np.ndarray, xi_samples: np.ndarray,
         out.append(f'<text x="{ml + plot_w / 2:.1f}" y="24" font-family="sans-serif" '
                    f'font-size="15" text-anchor="middle">{title}</text>')
 
-    # Sample cells; row 0 (smallest xi) is drawn at the bottom.
+    # Sample cells; row 0 (smallest xi) is drawn at the bottom.  One row
+    # at a time, so no whole-grid array of colour strings is ever held.
+    heads = np.array([f'<rect x="{ml + c * cw:.2f}" y="' for c in range(g.shape[1])],
+                     dtype=object)
+    size = f'" width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" fill="'
     for r in range(g.shape[0]):
         y = mt + plot_h - (r + 1) * ch
-        for c in range(g.shape[1]):
-            color = _color((g[r, c] - vmin) / span)
-            out.append(f'<rect x="{ml + c * cw:.2f}" y="{y:.2f}" '
-                       f'width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" '
-                       f'fill="{color}"/>')
+        cells = heads + (f"{y:.2f}{size}" + _colors((g[r] - vmin) / span)) + '"/>'
+        out.append("\n".join(cells))
 
     out.append(f'<rect x="{ml:.1f}" y="{mt:.1f}" width="{plot_w:.1f}" '
                f'height="{plot_h:.1f}" fill="none" stroke="black" stroke-width="1"/>')
@@ -107,11 +118,11 @@ def heatmap_svg(gains_db: np.ndarray, xi_samples: np.ndarray,
     bar_x = ml + plot_w + 30.0
     bar_w = 18.0
     steps = 64
+    bar_colors = _colors((np.arange(steps) + 0.5) / steps)
     for i in range(steps):
-        frac = (i + 0.5) / steps
         y = mt + plot_h * (1.0 - (i + 1.0) / steps)
         out.append(f'<rect x="{bar_x:.1f}" y="{y:.2f}" width="{bar_w:.1f}" '
-                   f'height="{plot_h / steps + 0.05:.2f}" fill="{_color(frac)}"/>')
+                   f'height="{plot_h / steps + 0.05:.2f}" fill="{bar_colors[i]}"/>')
     out.append(f'<rect x="{bar_x:.1f}" y="{mt:.1f}" width="{bar_w:.1f}" '
                f'height="{plot_h:.1f}" fill="none" stroke="black" stroke-width="1"/>')
     for v in _ticks(vmin, vmax):

@@ -64,6 +64,14 @@ def test_config_parse_error_exits_2(tmp_path):
     assert "config error" in proc.stderr
 
 
+def test_removed_seed_flag_exits_2(tmp_path):
+    proc = run_cli("design", "--config", str(CONFIGS / "single_subregion.json"),
+                   "--out", str(tmp_path), "--seed", "1")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 1" in proc.stderr
+    assert not (tmp_path / "ris_coefficients.csv").exists()
+
+
 def test_lobe_outside_coverage_exits_3(tmp_path):
     config = tmp_path / "outside.json"
     config.write_text(json.dumps({

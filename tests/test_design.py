@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import risbeam as rb
-from risbeam.design import (REFINE_GUARD, REFINE_OVERSAMPLE, approx_ls_scale,
-                            closed_form_vector, fft_cover_masks)
+from risbeam.design import (REFINE_GUARD, REFINE_OVERSAMPLE, _axis_normal_matrix,
+                            _axis_sample_points, approx_ls_scale, closed_form_vector,
+                            fft_cover_masks)
 from risbeam.geometry import CoverSet, EmptyCoverError
 
 TWO_PI = 2 * math.pi
@@ -237,6 +239,47 @@ def test_dd_h_deviation_scalar_vertical_factor(ref_grid):
 def test_dd_h_deviation_partial_period_positive(ref_grid):
     geom = rb.ArrayGeometry(8, 8)
     assert rb.dd_h_deviation(ref_grid, geom, 8, 8) > 0.01
+
+
+def _kron_dd_h_deviation(grid, geom, l_v, l_h):
+    """The deviation from the full M x M matrix G_v (x) G_h - L*Q*I."""
+    g_v = _axis_normal_matrix(
+        _axis_sample_points(grid.xi_bound, grid.delta_v, grid.q_v, l_v), geom.m_v)
+    g_h = _axis_normal_matrix(
+        _axis_sample_points(grid.zeta_bound, grid.delta_h, grid.q_h, l_h), geom.m_h)
+    lq = l_v * l_h * grid.q
+    full = np.kron(g_v, g_h) - lq * np.eye(geom.m)
+    return float(np.linalg.norm(full) / (lq * math.sqrt(geom.m)))
+
+
+@pytest.mark.parametrize("m_v, m_h, q_v, q_h, l_v, l_h", [
+    (8, 8, 16, 16, 4, 4),
+    (6, 10, 5, 7, 3, 2),
+    (1, 4, 4, 6, 2, 5),
+])
+def test_dd_h_deviation_matches_kronecker_form(m_v, m_h, q_v, q_h, l_v, l_h):
+    geom = rb.ArrayGeometry(m_v, m_h)
+    # Both axes short of a full period, so every deviation is well above 0.
+    grid = rb.make_grid(q_v, q_h, 1.3, 2.1)
+    got = rb.dd_h_deviation(grid, geom, l_v, l_h)
+    want = _kron_dd_h_deviation(grid, geom, l_v, l_h)
+    assert want > 0.01
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_dd_h_deviation_large_aperture_stays_small():
+    # The Kronecker form would hold a 16384^2 complex matrix, about 4.3 GB.
+    geom = rb.ArrayGeometry(128, 128)
+    xi_b, zeta_b = rb.psi_bounds(geom, math.pi / 4, math.pi / 2)
+    grid = rb.make_grid(16, 16, xi_b, zeta_b)
+    tracemalloc.start()
+    try:
+        deviation = rb.dd_h_deviation(grid, geom, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < deviation < math.inf
+    assert peak < 16 * 2 ** 20
 
 
 def test_exact_ls_reduces_residual(small_grid):
