@@ -111,15 +111,21 @@ def gain(c: Beamformer, point: PsiPoint) -> float:
                               np.array([point.zeta]))[0, 0])
 
 
+def sample_rect(weights_grid: np.ndarray, resolution_v: int, resolution_h: int,
+                bounds: PsiRect) -> PatternGrid:
+    """Uniform inclusive sampling of the gain of any (m_v, m_h) weight grid."""
+    xi = np.linspace(bounds.xi_min, bounds.xi_max, resolution_v)
+    zeta = np.linspace(bounds.zeta_min, bounds.zeta_max, resolution_h)
+    return PatternGrid(xi_samples=xi, zeta_samples=zeta,
+                       gains=sample_gains(weights_grid, xi, zeta))
+
+
 def pattern(c: Beamformer, resolution_v: int, resolution_h: int,
             bounds: PsiRect) -> PatternGrid:
     """Uniform inclusive sampling of the gain over ``bounds``."""
     if resolution_v < 2 or resolution_h < 2:
         raise ValueError("resolutions must be >= 2")
-    xi = np.linspace(bounds.xi_min, bounds.xi_max, resolution_v)
-    zeta = np.linspace(bounds.zeta_min, bounds.zeta_max, resolution_h)
-    return PatternGrid(xi_samples=xi, zeta_samples=zeta,
-                       gains=sample_gains(c.as_grid(), xi, zeta))
+    return sample_rect(c.as_grid(), resolution_v, resolution_h, bounds)
 
 
 def full_period_rect() -> PsiRect:

@@ -46,18 +46,21 @@ def _write_json(path: Path, payload):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _design(scenario: ScenarioConfig, cover):
+    """Equal-gain params and the scenario's design method applied to ``cover``."""
+    params = resolve_eta(scenario, cover)
+    if scenario.design.method == "closed_form":
+        return params, design_closed_form(cover, scenario.grid, scenario.geom, params)
+    return params, design_finite_l(cover, scenario.grid, scenario.geom, params,
+                                   l_v=scenario.design.l_v, l_h=scenario.design.l_h,
+                                   exact_ls=scenario.design.exact_ls)
+
+
 def _run_design(scenario: ScenarioConfig):
     """Cover, equal-gain params, design result, and surface config for a scenario."""
     try:
         cover = cover_set(scenario.spec, scenario.grid, scenario.geom)
-        params = resolve_eta(scenario, cover)
-        if scenario.design.method == "closed_form":
-            result = design_closed_form(cover, scenario.grid, scenario.geom, params)
-        else:
-            result = design_finite_l(cover, scenario.grid, scenario.geom, params,
-                                     l_v=scenario.design.l_v,
-                                     l_h=scenario.design.l_h,
-                                     exact_ls=scenario.design.exact_ls)
+        params, result = _design(scenario, cover)
         config = ris.ris_from_beamformer(result.beamformer, scenario.incident,
                                          scenario.geom)
         if scenario.design.unit_modulus:
@@ -215,15 +218,7 @@ def cmd_compare(args) -> int:
     cover, params, result, config = _run_design(scenario)
     single_cover = metrics.bounding_rectangle_cover(cover, scenario.grid)
     try:
-        single_params = resolve_eta(scenario, single_cover)
-        if scenario.design.method == "closed_form":
-            single = design_closed_form(single_cover, scenario.grid, scenario.geom,
-                                        single_params)
-        else:
-            single = design_finite_l(single_cover, scenario.grid, scenario.geom,
-                                     single_params, l_v=scenario.design.l_v,
-                                     l_h=scenario.design.l_h,
-                                     exact_ls=scenario.design.exact_ls)
+        _, single = _design(scenario, single_cover)
     except (EmptyCoverError, ValueError) as exc:
         raise DesignError(str(exc)) from None
     resolution = max(_resolution(scenario, args))

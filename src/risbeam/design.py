@@ -103,6 +103,34 @@ def approx_ls_scale(l_total: int, q_total: int, delta_v: float, delta_h: float,
                      math.sqrt(delta_v * delta_h * cover_size))
 
 
+def cover_mask(cover: CoverSet, grid: PsiGrid) -> np.ndarray:
+    """Q_v x Q_h 0/1 matrix with a 1 at (p-1, q-1) for each covered subregion (p, q)."""
+    if cover.size == 0:
+        raise EmptyCoverError("cover set is empty")
+    mask = np.zeros((grid.q_v, grid.q_h))
+    cells = np.array(list(cover.indices)) - 1
+    mask[cells[:, 0], cells[:, 1]] = 1.0
+    return mask
+
+
+def cover_sum(cover: CoverSet, grid: PsiGrid, a_v: np.ndarray,
+              a_h: np.ndarray) -> np.ndarray:
+    """Sum over covered subregions of per-cell outer products, as one matrix product.
+
+    Cell (p, q) contributes the outer product of
+    a_v[m_v] * exp(j*m_v*xi_edge(p-1)) and a_h[m_h] * exp(j*m_h*zeta_edge(q-1)).
+    With E_a[m, p] = exp(j*m*edge_a(p-1)) the sum is
+    (diag(a_v) E_v) . Mask . (diag(a_h) E_h)^T, shape (len(a_v), len(a_h)).
+    """
+    def axis(a, bound, delta, count):
+        edges = -bound + delta * np.arange(count)
+        return a[:, None] * np.exp(1j * np.outer(np.arange(a.size), edges))
+
+    return (axis(a_v, grid.xi_bound, grid.delta_v, grid.q_v)
+            @ cover_mask(cover, grid)
+            @ axis(a_h, grid.zeta_bound, grid.delta_h, grid.q_h).T)
+
+
 def closed_form_vector(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
                        params: EqualGainParams) -> np.ndarray:
     """Unnormalized closed-form beamformer entries (the L -> infinity limit).
@@ -112,20 +140,11 @@ def closed_form_vector(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
     exp(j*x_a/2)*sinc(x_a/(2*pi)) with x_a = delta_a*m_a + eta_a, scaled
     by 2*pi/Q.  sinc is the normalized one, sin(pi*u)/(pi*u).
     """
-    if cover.size == 0:
-        raise EmptyCoverError("cover set is empty")
-    m_v_idx = np.arange(geom.m_v)
-    m_h_idx = np.arange(geom.m_h)
-    x_v = grid.delta_v * m_v_idx + params.eta_v
-    x_h = grid.delta_h * m_h_idx + params.eta_h
+    x_v = grid.delta_v * np.arange(geom.m_v) + params.eta_v
+    x_h = grid.delta_h * np.arange(geom.m_h) + params.eta_h
     f_v = np.exp(1j * x_v / 2.0) * np.sinc(x_v / TWO_PI)
     f_h = np.exp(1j * x_h / 2.0) * np.sinc(x_h / TWO_PI)
-    acc = np.zeros((geom.m_v, geom.m_h), dtype=complex)
-    for p, q in cover.sorted():
-        v = np.exp(1j * m_v_idx * grid.xi_edge(p - 1)) * f_v
-        h = np.exp(1j * m_h_idx * grid.zeta_edge(q - 1)) * f_h
-        acc += np.outer(v, h)
-    return (TWO_PI / grid.q) * acc.ravel()
+    return (TWO_PI / grid.q) * cover_sum(cover, grid, f_v, f_h).ravel()
 
 
 def design_closed_form(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
@@ -167,11 +186,7 @@ def fft_cover_masks(cover: CoverSet, grid: PsiGrid, m_v: int, m_h: int):
     The support is the cover widened by REFINE_GUARD beamwidths on each
     axis; both masks are the cover-mask matrix product E_v . Mask . E_h^T.
     """
-    if cover.size == 0:
-        raise EmptyCoverError("cover set is empty")
-    mask = np.zeros((grid.q_v, grid.q_h))
-    for p, q in cover.indices:
-        mask[p - 1, q - 1] = 1.0
+    mask = cover_mask(cover, grid)
 
     def masks(margin_v, margin_h):
         e_v = _axis_cell_masks(REFINE_OVERSAMPLE * m_v, grid.xi_bound,
@@ -237,29 +252,6 @@ def design_refined(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
         params=params, method=MethodInfo(name="refined"))
 
 
-def _cell_axis_vectors(cover, grid, geom, params, l_v, l_h):
-    """Per-cell sampled-and-summed axis vectors a_v, a_h.
-
-    a_v[m] = sum_l g_v[l] * exp(j*m*xi_{p,l}) with samples
-    xi_{p,l} = xi_edge(p-1) + l*delta_v/L_v for l = 1..L_v; the inner sum
-    over the in-cell offsets is shared by every cell.
-    """
-    off_v = grid.delta_v * np.arange(1, l_v + 1) / l_v
-    off_h = grid.delta_h * np.arange(1, l_h + 1) / l_h
-    g_v = np.exp(1j * params.eta_v * np.arange(l_v) / l_v)
-    g_h = np.exp(1j * params.eta_h * np.arange(l_h) / l_h)
-    m_v_idx = np.arange(geom.m_v)
-    m_h_idx = np.arange(geom.m_h)
-    s_v = np.exp(1j * np.outer(m_v_idx, off_v)) @ g_v
-    s_h = np.exp(1j * np.outer(m_h_idx, off_h)) @ g_h
-    cells = []
-    for p, q in cover.sorted():
-        a_v = np.exp(1j * m_v_idx * grid.xi_edge(p - 1)) * s_v
-        a_h = np.exp(1j * m_h_idx * grid.zeta_edge(q - 1)) * s_h
-        cells.append((a_v, a_h))
-    return cells
-
-
 def _axis_sample_points(bound: float, delta: float, q_count: int, l_count: int) -> np.ndarray:
     """All per-axis sample coordinates, cells concatenated in order."""
     edges = -bound + delta * np.arange(q_count)
@@ -270,6 +262,14 @@ def _axis_sample_points(bound: float, delta: float, q_count: int, l_count: int) 
 def _axis_normal_matrix(samples: np.ndarray, m_count: int) -> np.ndarray:
     d = np.exp(1j * np.outer(np.arange(m_count), samples))
     return d @ d.conj().T
+
+
+def _normal_matrices(grid: PsiGrid, geom: ArrayGeometry, l_v: int, l_h: int):
+    """Per-axis factors G_v, G_h of the normal matrix D D^H = G_v (x) G_h."""
+    points_v = _axis_sample_points(grid.xi_bound, grid.delta_v, grid.q_v, l_v)
+    points_h = _axis_sample_points(grid.zeta_bound, grid.delta_h, grid.q_h, l_h)
+    return (_axis_normal_matrix(points_v, geom.m_v),
+            _axis_normal_matrix(points_h, geom.m_h))
 
 
 EIG_CUTOFF = 0.1
@@ -312,18 +312,23 @@ def design_finite_l(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
         raise ValueError("sample counts must be >= 1")
     l_total = l_v * l_h
     area = grid.delta_v * grid.delta_h
-    cells = _cell_axis_vectors(cover, grid, geom, params, l_v, l_h)
+
+    def summed_samples(m_count, delta, l_count, eta):
+        # sum over l = 1..L of g[l-1] * exp(j*m*l*delta/L): the in-cell part
+        # of the sampled steering vectors, shared by every cell; cover_sum
+        # adds each cell's lower-corner phase.
+        offsets = delta * np.arange(1, l_count + 1) / l_count
+        g = np.exp(1j * eta * np.arange(l_count) / l_count)
+        return np.exp(1j * np.outer(np.arange(m_count), offsets)) @ g
+
+    cells_sum = cover_sum(cover, grid,
+                          summed_samples(geom.m_v, grid.delta_v, l_v, params.eta_v),
+                          summed_samples(geom.m_h, grid.delta_h, l_h, params.eta_h)
+                          ).ravel()
 
     # rhs = D @ b with b the stacked equal-gain targets, 2*pi/sqrt(|A|) per cell.
-    rhs = np.zeros(geom.m, dtype=complex)
-    for a_v, a_h in cells:
-        rhs += np.kron(a_v, a_h)
-    rhs *= math.sqrt(area) * TWO_PI / math.sqrt(cover.size)
-
-    g_v_mat = _axis_normal_matrix(
-        _axis_sample_points(grid.xi_bound, grid.delta_v, grid.q_v, l_v), geom.m_v)
-    g_h_mat = _axis_normal_matrix(
-        _axis_sample_points(grid.zeta_bound, grid.delta_h, grid.q_h, l_h), geom.m_h)
+    rhs = cells_sum * (math.sqrt(area) * TWO_PI / math.sqrt(cover.size))
+    g_v_mat, g_h_mat = _normal_matrices(grid, geom, l_v, l_h)
 
     rank_deficient = False
     if exact_ls:
@@ -339,10 +344,7 @@ def design_finite_l(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
     else:
         sigma = approx_ls_scale(l_total, grid.q, grid.delta_v, grid.delta_h,
                                 cover.size)
-        raw = np.zeros(geom.m, dtype=complex)
-        for a_v, a_h in cells:
-            raw += np.kron(a_v, a_h)
-        raw *= sigma
+        raw = sigma * cells_sum
 
     residual = ls_residual(raw, rhs, g_v_mat, g_h_mat, area, l_total, cover.size)
     return DesignResult(
@@ -383,10 +385,7 @@ def dd_h_deviation(grid: PsiGrid, geom: ArrayGeometry, l_v: int, l_h: int) -> fl
     and tr G_v tr G_h instead subtracts terms of order c^2 M and loses the
     exact zero to cancellation.
     """
-    g_v = _axis_normal_matrix(
-        _axis_sample_points(grid.xi_bound, grid.delta_v, grid.q_v, l_v), geom.m_v)
-    g_h = _axis_normal_matrix(
-        _axis_sample_points(grid.zeta_bound, grid.delta_h, grid.q_h, l_h), geom.m_h)
+    g_v, g_h = _normal_matrices(grid, geom, l_v, l_h)
     c_v, c_h = l_v * grid.q_v, l_h * grid.q_h
     norm_e_v = np.linalg.norm(g_v - c_v * np.eye(geom.m_v))
     norm_e_h = np.linalg.norm(g_h - c_h * np.eye(geom.m_h))

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Beamformer, PatternGrid, full_period_rect, sample_gains
+# sample_gains is re-exported for callers that look it up here.
+from .arrays import (Beamformer, PatternGrid, full_period_rect,  # noqa: F401
+                     sample_gains, sample_rect)
 from .geometry import ArrayGeometry, CoverSet, EmptyCoverError, PsiGrid
-from . import ris
+from . import design, ris
 
 DB_FLOOR = -120.0
 _FLOOR_LIN = 10.0 ** (DB_FLOOR / 10.0)
@@ -70,25 +72,32 @@ class CutProfile:
     widths: dict
 
 
-def _axis_masks(samples: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return (samples >= lo) & (samples < hi)
+def _axis_membership(samples: np.ndarray, bound: float, delta: float, count: int,
+                     shrink: float) -> np.ndarray:
+    """(samples, count) 0/1 matrix: sample k lies in half-open cell i shrunk by
+    ``shrink`` of its width on each side.  Unlike the FFT grid of the
+    refinement, the sampled period is not wrapped: +pi lies beyond every cell.
+    """
+    edges = -bound + delta * np.arange(count + 1)
+    lo, hi = edges[:-1], edges[1:]
+    margin = shrink * (hi - lo)
+    inside = (samples[:, None] >= lo + margin) & (samples[:, None] < hi - margin)
+    return inside.astype(float)
 
 
 def _cover_masks(grid_pattern: PatternGrid, cover: CoverSet, grid: PsiGrid,
                  interior_shrink: float):
-    xi = grid_pattern.xi_samples
-    zeta = grid_pattern.zeta_samples
-    in_mask = np.zeros((xi.size, zeta.size), dtype=bool)
-    interior = np.zeros_like(in_mask)
-    for p, q in cover.sorted():
-        cell = grid.cell(p, q)
-        in_mask |= np.outer(_axis_masks(xi, cell.xi_min, cell.xi_max),
-                            _axis_masks(zeta, cell.zeta_min, cell.zeta_max))
-        dx = interior_shrink * (cell.xi_max - cell.xi_min)
-        dz = interior_shrink * (cell.zeta_max - cell.zeta_min)
-        interior |= np.outer(_axis_masks(xi, cell.xi_min + dx, cell.xi_max - dx),
-                             _axis_masks(zeta, cell.zeta_min + dz, cell.zeta_max - dz))
-    return in_mask, interior
+    """Samples inside the cover, and inside its subregions shrunk per axis."""
+    mask = design.cover_mask(cover, grid)
+
+    def masks(shrink):
+        in_v = _axis_membership(grid_pattern.xi_samples, grid.xi_bound,
+                                grid.delta_v, grid.q_v, shrink)
+        in_h = _axis_membership(grid_pattern.zeta_samples, grid.zeta_bound,
+                                grid.delta_h, grid.q_h, shrink)
+        return (in_v @ mask @ in_h.T) > 0.0
+
+    return masks(0.0), masks(interior_shrink)
 
 
 def report_from_pattern(grid_pattern: PatternGrid, cover: CoverSet, grid: PsiGrid,
@@ -139,12 +148,8 @@ def report(source, cover: CoverSet, grid: PsiGrid, resolution: int = 512,
 def sample_pattern(source, resolution: int,
                    resolution_h: int | None = None) -> PatternGrid:
     """Inclusive uniform sampling of the source's gain over the full period."""
-    weights = _weights_grid(source)
-    rect = full_period_rect()
-    xi = np.linspace(rect.xi_min, rect.xi_max, resolution)
-    zeta = np.linspace(rect.zeta_min, rect.zeta_max, resolution_h or resolution)
-    return PatternGrid(xi_samples=xi, zeta_samples=zeta,
-                       gains=sample_gains(weights, xi, zeta))
+    return sample_rect(_weights_grid(source), resolution, resolution_h or resolution,
+                       full_period_rect())
 
 
 def gains_along(weights_grid: np.ndarray, xi: np.ndarray,
@@ -153,8 +158,7 @@ def gains_along(weights_grid: np.ndarray, xi: np.ndarray,
     m_v, m_h = weights_grid.shape
     e_v = np.exp(-1j * np.outer(xi, np.arange(m_v)))
     e_h = np.exp(-1j * np.outer(zeta, np.arange(m_h)))
-    field = np.einsum("sv,vh,sh->s", e_v, weights_grid, e_h)
-    return np.abs(field) ** 2
+    return np.abs(((e_v @ weights_grid) * e_h).sum(axis=1)) ** 2
 
 
 def _crossing(angles, gains_db, i_from, i_to, level_db):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import Beamformer, directivity
+from .arrays import Beamformer, directivity, directivity_axis
 from .geometry import ArrayGeometry, CoverSet, PsiGrid, SolidAngle, to_psi
 from . import design
 
@@ -142,13 +142,6 @@ def effective_gain(config: RisConfig, omega_2: SolidAngle) -> complex:
     return reflection_coefficient(config, config.incident, omega_2)
 
 
-def _ula_directivity(count: int, angle: SolidAngle, d_over_lambda: float) -> np.ndarray:
-    # Transmit/receive arrays are modeled as horizontal uniform lines at the
-    # same spacing convention as the surface.
-    zeta = TWO_PI * d_over_lambda * math.sin(angle.theta) * math.cos(angle.phi)
-    return np.exp(1j * zeta * np.arange(count))
-
-
 def cascaded_channel(scene: LinkScene, config: RisConfig) -> np.ndarray:
     """End-to-end channel matrix (m_r x m_t) through the reflecting surface.
 
@@ -159,8 +152,10 @@ def cascaded_channel(scene: LinkScene, config: RisConfig) -> np.ndarray:
     was designed for.
     """
     gamma = reflection_coefficient(config, scene.omega_1, scene.omega_2)
-    a_r = _ula_directivity(scene.m_r, scene.omega_r, config.geom.d_x_over_lambda)
-    a_t = _ula_directivity(scene.m_t, scene.omega_t, config.geom.d_x_over_lambda)
+    # Transmit/receive arrays are modeled as horizontal uniform lines at the
+    # same spacing convention as the surface.
+    a_r = directivity_axis(scene.m_r, to_psi(scene.omega_r, config.geom).zeta)
+    a_t = directivity_axis(scene.m_t, to_psi(scene.omega_t, config.geom).zeta)
     return scene.rho_r * scene.rho_t * gamma * np.outer(a_r, np.conj(a_t))
 
 

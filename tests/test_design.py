@@ -1,13 +1,16 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import risbeam as rb
 from risbeam.design import (REFINE_GUARD, REFINE_OVERSAMPLE, _axis_normal_matrix,
                             _axis_sample_points, approx_ls_scale, closed_form_vector,
-                            fft_cover_masks)
+                            cover_mask, cover_sum, fft_cover_masks)
 from risbeam.geometry import CoverSet, EmptyCoverError
 
 TWO_PI = 2 * math.pi
@@ -377,3 +380,54 @@ def test_fft_cover_masks_follow_subregions_with_periodic_guard():
     assert np.all(support[reach < 1.0 - 1e-9])
     assert not np.any(support[reach > 1.0 + 1e-9])
     assert support[:, in_cover.shape[1] // 2].any()
+
+
+def _per_cell_sum(cover, grid, a_v, a_h):
+    """Reference: one outer product per covered cell, added in sorted order."""
+    acc = np.zeros((a_v.size, a_h.size), dtype=complex)
+    for p, q in cover.sorted():
+        v = np.exp(1j * np.arange(a_v.size) * grid.xi_edge(p - 1)) * a_v
+        h = np.exp(1j * np.arange(a_h.size) * grid.zeta_edge(q - 1)) * a_h
+        acc += np.outer(v, h)
+    return acc
+
+
+@st.composite
+def cover_cases(draw):
+    """Aperture, grid, a nonempty cover of it, and a seed for the axis vectors."""
+    q_v, q_h = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = draw(st.frozensets(st.tuples(st.integers(1, q_v), st.integers(1, q_h)),
+                               min_size=1))
+    return (draw(st.integers(1, 24)), draw(st.integers(1, 24)), q_v, q_h, cells,
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=cover_cases(), xi_bound=st.floats(0.1, math.pi),
+       zeta_bound=st.floats(0.1, math.pi))
+# Single cell, full cover and scattered cells, on non-square apertures and grids.
+@example(case=(5, 9, 3, 7, frozenset({(2, 4)}), 1), xi_bound=1.1, zeta_bound=math.pi)
+@example(case=(12, 7, 4, 6, frozenset(itertools.product(range(1, 5), range(1, 7))), 2),
+         xi_bound=math.pi / 2, zeta_bound=2.3)
+@example(case=(16, 11, 8, 5, frozenset({(1, 1), (1, 5), (4, 2), (8, 5), (7, 3)}), 3),
+         xi_bound=2.2, zeta_bound=0.7)
+def test_cover_sum_matches_per_cell_loop(case, xi_bound, zeta_bound):
+    m_v, m_h, q_v, q_h, cells, seed = case
+    cover = CoverSet(indices=cells, per_lobe=(cells,))
+    grid = rb.make_grid(q_v, q_h, xi_bound, zeta_bound)
+    rng = np.random.default_rng(seed)
+    a_v = rng.normal(size=m_v) + 1j * rng.normal(size=m_v)
+    a_h = rng.normal(size=m_h) + 1j * rng.normal(size=m_h)
+    want = _per_cell_sum(cover, grid, a_v, a_h)
+    got = cover_sum(cover, grid, a_v, a_h)
+    assert got.shape == (m_v, m_h)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    mask = cover_mask(cover, grid)
+    assert mask.shape == (q_v, q_h) and mask.sum() == cover.size
+    assert all(mask[p - 1, q - 1] == 1.0 for p, q in cells)
+
+
+def test_cover_mask_rejects_empty_cover(small_grid):
+    _, grid = small_grid
+    with pytest.raises(EmptyCoverError):
+        cover_mask(CoverSet(indices=frozenset(), per_lobe=()), grid)

@@ -237,3 +237,52 @@ def test_report_round_trips_through_db(dual_beam_cover, ref_grid, ref_geom):
     assert rep_a.mean_in_db == pytest.approx(rep_b.mean_in_db, abs=1e-9)
     assert rep_a.leakage_fraction == pytest.approx(rep_b.leakage_fraction, abs=1e-9)
     assert rep_a.ripple_db == pytest.approx(rep_b.ripple_db, abs=1e-9)
+
+
+def _per_cell_cover_masks(grid_pattern, cover, grid, interior_shrink):
+    """Reference: the per-cell half-open membership loop, one cell at a time."""
+    xi, zeta = grid_pattern.xi_samples, grid_pattern.zeta_samples
+
+    def inside(samples, lo, hi):
+        return (samples >= lo) & (samples < hi)
+
+    in_mask = np.zeros((xi.size, zeta.size), dtype=bool)
+    interior = np.zeros_like(in_mask)
+    for p, q in cover.sorted():
+        cell = grid.cell(p, q)
+        in_mask |= np.outer(inside(xi, cell.xi_min, cell.xi_max),
+                            inside(zeta, cell.zeta_min, cell.zeta_max))
+        dx = interior_shrink * (cell.xi_max - cell.xi_min)
+        dz = interior_shrink * (cell.zeta_max - cell.zeta_min)
+        interior |= np.outer(inside(xi, cell.xi_min + dx, cell.xi_max - dx),
+                             inside(zeta, cell.zeta_min + dz, cell.zeta_max - dz))
+    return in_mask, interior
+
+
+@pytest.mark.parametrize("interior_shrink", [0.0, 0.125, 0.25, 0.375])
+def test_cover_masks_match_per_cell_loop_on_edges(interior_shrink):
+    from risbeam.metrics import _cover_masks
+    # Cells pi/4 wide on pi/64 (xi) and pi/32 (zeta) sample spacings: every
+    # cell edge and every shrunk edge falls on a sample up to rounding, and
+    # the zeta cover ends at +pi, the last sample, which no half-open cell
+    # contains.
+    grid = rb.make_grid(6, 8, 3 * math.pi / 4, math.pi)
+    xi = np.linspace(-math.pi, math.pi, 129)
+    zeta = np.linspace(-math.pi, math.pi, 65)
+    pat = rb.PatternGrid(xi_samples=xi, zeta_samples=zeta,
+                         gains=np.ones((xi.size, zeta.size)))
+    cells = frozenset({(1, 1), (1, 8), (3, 4), (3, 5), (4, 4), (6, 8), (6, 1)})
+    cover = CoverSet(indices=cells, per_lobe=(cells,))
+    got = _cover_masks(pat, cover, grid, interior_shrink)
+    want = _per_cell_cover_masks(pat, cover, grid, interior_shrink)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[0].any() and not got[0][:, -1].any()
+
+    def on_samples(points, samples):
+        return sum(np.isclose(samples, x, rtol=0.0, atol=1e-12).any() for x in points)
+
+    assert on_samples([grid.zeta_edge(q) + interior_shrink * grid.delta_h
+                       for q in range(8)], zeta) == 8
+    assert on_samples([grid.xi_edge(p) - interior_shrink * grid.delta_v
+                       for p in range(1, 7)], xi) == 6
