@@ -17,11 +17,18 @@ from .geometry import ArrayGeometry, PsiPoint, PsiRect, SolidAngle
 TWO_PI = 2.0 * math.pi
 
 
+def steering(count: int, coords) -> np.ndarray:
+    """(count, n) axis responses exp(j*m*coords[k]), m = 0..count-1: every array
+    response is built from these columns (negate ``coords`` to conjugate).  A
+    transposed view, since exp runs faster along m than across coords."""
+    return np.exp(1j * np.outer(coords, np.arange(count))).T
+
+
 def directivity_axis(count: int, coord: float) -> np.ndarray:
     """Per-axis steering vector [1, e^{j*coord}, ..., e^{j*(count-1)*coord}]."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return np.exp(1j * coord * np.arange(count))
+    return steering(count, [coord])[:, 0]
 
 
 def directivity(geom: ArrayGeometry, point: PsiPoint) -> np.ndarray:
@@ -99,9 +106,15 @@ def sample_gains(weights_grid: np.ndarray, xi_samples: np.ndarray,
     follow xi_samples, columns zeta_samples.
     """
     m_v, m_h = weights_grid.shape
-    e_v = np.exp(-1j * np.outer(xi_samples, np.arange(m_v)))
-    e_h = np.exp(-1j * np.outer(np.arange(m_h), zeta_samples))
-    field = e_v @ weights_grid @ e_h
+    field = steering(m_v, -xi_samples).T @ weights_grid @ steering(m_h, -zeta_samples)
+    return np.abs(field) ** 2
+
+
+def gains_along(weights_grid: np.ndarray, xi: np.ndarray,
+                zeta: np.ndarray) -> np.ndarray:
+    """Gain along a parametric (xi(s), zeta(s)) curve rather than a product grid."""
+    m_v, m_h = weights_grid.shape
+    field = ((steering(m_v, -xi).T @ weights_grid) * steering(m_h, -zeta).T).sum(axis=1)
     return np.abs(field) ** 2
 
 
@@ -140,7 +153,6 @@ def gain_integral(c: Beamformer, quadrature_resolution: int = 512) -> float:
     (2*pi)^2 for any unit-norm beamformer.
     """
     n = quadrature_resolution
-    xi = -math.pi + TWO_PI * np.arange(n) / n
-    zeta = -math.pi + TWO_PI * np.arange(n) / n
-    g = sample_gains(c.as_grid(), xi, zeta)
+    samples = -math.pi + TWO_PI * np.arange(n) / n
+    g = sample_gains(c.as_grid(), samples, samples)
     return float(g.mean() * TWO_PI ** 2)

@@ -56,15 +56,18 @@ def _design(scenario: ScenarioConfig, cover):
                                    exact_ls=scenario.design.exact_ls)
 
 
+def _surface(scenario: ScenarioConfig, result):
+    """Surface config of a design, projected when the scenario is phase-only."""
+    config = ris.ris_from_beamformer(result.beamformer, scenario.incident, scenario.geom)
+    return ris.unit_modulus_project(config) if scenario.design.unit_modulus else config
+
+
 def _run_design(scenario: ScenarioConfig):
     """Cover, equal-gain params, design result, and surface config for a scenario."""
     try:
         cover = cover_set(scenario.spec, scenario.grid, scenario.geom)
         params, result = _design(scenario, cover)
-        config = ris.ris_from_beamformer(result.beamformer, scenario.incident,
-                                         scenario.geom)
-        if scenario.design.unit_modulus:
-            config = ris.unit_modulus_project(config)
+        config = _surface(scenario, result)
     except (EmptyCoverError, ValueError) as exc:
         raise DesignError(str(exc)) from None
     return cover, params, result, config
@@ -219,13 +222,14 @@ def cmd_compare(args) -> int:
     single_cover = metrics.bounding_rectangle_cover(cover, scenario.grid)
     try:
         _, single = _design(scenario, single_cover)
+        single_config = _surface(scenario, single)
     except (EmptyCoverError, ValueError) as exc:
         raise DesignError(str(exc)) from None
     resolution = max(_resolution(scenario, args))
-    rep_multi = metrics.report(result.beamformer, cover, scenario.grid,
-                               resolution=resolution)
-    rep_single = metrics.report(single.beamformer, cover, scenario.grid,
-                                resolution=resolution)
+    rep_multi = metrics.report(_pattern_source(scenario, result, config), cover,
+                               scenario.grid, resolution=resolution)
+    rep_single = metrics.report(_pattern_source(scenario, single, single_config),
+                                cover, scenario.grid, resolution=resolution)
     payload = {
         "multi_mean_db": rep_multi.mean_in_db,
         "single_mean_db": rep_single.mean_in_db,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import Beamformer
+from .arrays import Beamformer, steering
 from .geometry import ArrayGeometry, CoverSet, EmptyCoverError, PsiGrid
 from . import metrics
 
@@ -123,8 +123,7 @@ def cover_sum(cover: CoverSet, grid: PsiGrid, a_v: np.ndarray,
     (diag(a_v) E_v) . Mask . (diag(a_h) E_h)^T, shape (len(a_v), len(a_h)).
     """
     def axis(a, bound, delta, count):
-        edges = -bound + delta * np.arange(count)
-        return a[:, None] * np.exp(1j * np.outer(np.arange(a.size), edges))
+        return a[:, None] * steering(a.size, -bound + delta * np.arange(count))
 
     return (axis(a_v, grid.xi_bound, grid.delta_v, grid.q_v)
             @ cover_mask(cover, grid)
@@ -260,7 +259,7 @@ def _axis_sample_points(bound: float, delta: float, q_count: int, l_count: int) 
 
 
 def _axis_normal_matrix(samples: np.ndarray, m_count: int) -> np.ndarray:
-    d = np.exp(1j * np.outer(np.arange(m_count), samples))
+    d = steering(m_count, samples)
     return d @ d.conj().T
 
 
@@ -316,15 +315,15 @@ def design_finite_l(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
     def summed_samples(m_count, delta, l_count, eta):
         # sum over l = 1..L of g[l-1] * exp(j*m*l*delta/L): the in-cell part
         # of the sampled steering vectors, shared by every cell; cover_sum
-        # adds each cell's lower-corner phase.
+        # adds each cell's lower-corner phase.  Row-major, since BLAS's order
+        # of summation, and so the last bits of the design, follows the layout.
         offsets = delta * np.arange(1, l_count + 1) / l_count
         g = np.exp(1j * eta * np.arange(l_count) / l_count)
-        return np.exp(1j * np.outer(np.arange(m_count), offsets)) @ g
+        return np.ascontiguousarray(steering(m_count, offsets)) @ g
 
     cells_sum = cover_sum(cover, grid,
                           summed_samples(geom.m_v, grid.delta_v, l_v, params.eta_v),
-                          summed_samples(geom.m_h, grid.delta_h, l_h, params.eta_h)
-                          ).ravel()
+                          summed_samples(geom.m_h, grid.delta_h, l_h, params.eta_h))
 
     # rhs = D @ b with b the stacked equal-gain targets, 2*pi/sqrt(|A|) per cell.
     rhs = cells_sum * (math.sqrt(area) * TWO_PI / math.sqrt(cover.size))
@@ -340,7 +339,7 @@ def design_finite_l(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
         inv_v, def_v = _truncated_inverse(g_v_mat)
         inv_h, def_h = _truncated_inverse(g_h_mat)
         rank_deficient = def_v or def_h
-        raw = (inv_v @ rhs.reshape(geom.m_v, geom.m_h) @ inv_h.T).ravel() / area
+        raw = inv_v @ rhs @ inv_h.T / area
     else:
         sigma = approx_ls_scale(l_total, grid.q, grid.delta_v, grid.delta_h,
                                 cover.size)
@@ -360,11 +359,10 @@ def ls_residual(raw: np.ndarray, rhs: np.ndarray, g_v_mat: np.ndarray,
                 cover_size: int) -> float:
     """||b - D^H c||^2 without materializing the sample-domain vectors.
 
-    Expands to ||b||^2 - 2 Re((D b)^H c) + c^H (D D^H) c, where
-    ||b||^2 = (2*pi)^2 * L and D D^H factors per axis.
+    Expands to ||b||^2 - 2 Re((D b)^H c) + c^H (D D^H) c, with c = raw and
+    D b = rhs as (m_v, m_h) grids, ||b||^2 = (2*pi)^2 * L and D D^H per axis.
     """
-    c_grid = raw.reshape(g_v_mat.shape[0], g_h_mat.shape[0])
-    quad = area * np.vdot(raw, (g_v_mat @ c_grid @ g_h_mat.T).ravel())
+    quad = area * np.vdot(raw, g_v_mat @ raw @ g_h_mat.T)
     val = TWO_PI ** 2 * l_total - 2.0 * np.real(np.vdot(rhs, raw)) + np.real(quad)
     return float(max(val, 0.0))
 

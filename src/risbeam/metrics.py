@@ -17,7 +17,7 @@ import numpy as np
 
 # sample_gains is re-exported for callers that look it up here.
 from .arrays import (Beamformer, PatternGrid, full_period_rect,  # noqa: F401
-                     sample_gains, sample_rect)
+                     gains_along, sample_gains, sample_rect)
 from .geometry import ArrayGeometry, CoverSet, EmptyCoverError, PsiGrid
 from . import design, ris
 
@@ -122,8 +122,7 @@ def report_from_pattern(grid_pattern: PatternGrid, cover: CoverSet, grid: PsiGri
     total = float(gains.sum())
     leakage = 1.0 - float(in_gain.sum()) / total if total > 0 else 1.0
     if ideal_level_db is None:
-        t = (2.0 * math.pi) ** 2 / (cover.size * grid.delta_v * grid.delta_h)
-        ideal_level_db = to_db(t)
+        ideal_level_db = design.ideal_gain_level(cover, grid).level_db
     return PatternReport(
         mean_in_db=to_db(float(in_gain.mean())),
         median_in_db=to_db(float(np.median(in_gain))),
@@ -140,9 +139,8 @@ def report(source, cover: CoverSet, grid: PsiGrid, resolution: int = 512,
     """Sample the source's gain over the full period and analyze the cover."""
     if resolution < 32:
         raise ValueError("resolution must be >= 32")
-    weights = _weights_grid(source)
-    grid_pattern = sample_pattern(weights, resolution)
-    return report_from_pattern(grid_pattern, cover, grid, interior_shrink)
+    return report_from_pattern(sample_pattern(source, resolution), cover, grid,
+                               interior_shrink)
 
 
 def sample_pattern(source, resolution: int,
@@ -150,15 +148,6 @@ def sample_pattern(source, resolution: int,
     """Inclusive uniform sampling of the source's gain over the full period."""
     return sample_rect(_weights_grid(source), resolution, resolution_h or resolution,
                        full_period_rect())
-
-
-def gains_along(weights_grid: np.ndarray, xi: np.ndarray,
-                zeta: np.ndarray) -> np.ndarray:
-    """Gain along a parametric (xi(s), zeta(s)) curve rather than a product grid."""
-    m_v, m_h = weights_grid.shape
-    e_v = np.exp(-1j * np.outer(xi, np.arange(m_v)))
-    e_h = np.exp(-1j * np.outer(zeta, np.arange(m_h)))
-    return np.abs(((e_v @ weights_grid) * e_h).sum(axis=1)) ** 2
 
 
 def _crossing(angles, gains_db, i_from, i_to, level_db):

@@ -56,11 +56,11 @@ class LinkScene:
             raise ValueError("antenna counts must be >= 1")
 
 
-def _incident_phase(omega_1: SolidAngle, geom: ArrayGeometry) -> np.ndarray:
-    """Phase m_v*xi_1 + m_h*zeta_1 of the incident wave at each element."""
+def _incident_wave(omega_1: SolidAngle, geom: ArrayGeometry) -> np.ndarray:
+    """Incident wave exp(j*(m_v*xi_1 + m_h*zeta_1)) at each element, (m_v, m_h)."""
     psi1 = to_psi(omega_1, geom)
-    return np.add.outer(psi1.xi * np.arange(geom.m_v),
-                        psi1.zeta * np.arange(geom.m_h))
+    return np.exp(1j * np.add.outer(psi1.xi * np.arange(geom.m_v),
+                                    psi1.zeta * np.arange(geom.m_h)))
 
 
 def ris_from_beamformer(c: Beamformer, omega_1: SolidAngle, geom: ArrayGeometry,
@@ -78,7 +78,7 @@ def ris_from_beamformer(c: Beamformer, omega_1: SolidAngle, geom: ArrayGeometry,
     if peak == 0.0:
         raise ValueError("zero beamformer")
     scaled = c.as_grid() / peak if rescale else c.as_grid()
-    coeff = scaled * np.exp(-1j * _incident_phase(omega_1, geom))
+    coeff = scaled * _incident_wave(omega_1, geom).conj()
     return RisConfig(betas=np.abs(coeff),
                      thetas=np.mod(np.angle(coeff), TWO_PI),
                      incident=omega_1, geom=geom)
@@ -100,15 +100,13 @@ def unit_modulus_fallback(config: RisConfig, cover: CoverSet,
     cover and its guard band, and zeroed beyond.  Every amplitude is
     exactly 1; ``config`` is not modified.
     """
-    geom = config.geom
-    shape = (geom.m_v, geom.m_h)
-    _, support = design.fft_cover_masks(cover, grid, geom.m_v, geom.m_h)
-    target = np.abs(np.fft.fft2(effective_weight_vector(config).reshape(shape),
-                                s=support.shape))
-    start = effective_weight_vector(unit_modulus_project(config)).reshape(shape)
+    wave = _incident_wave(config.incident, config.geom)
+    _, support = design.fft_cover_masks(cover, grid, config.geom.m_v, config.geom.m_h)
+    target = np.abs(np.fft.fft2(element_coefficients(config) * wave, s=support.shape))
+    start = element_coefficients(unit_modulus_project(config)) * wave
     weights = design.refine_pattern(start, target, support, support,
                                     unit_modulus=True)
-    coeff = weights * np.exp(-1j * _incident_phase(config.incident, geom))
+    coeff = weights * wave.conj()
     return replace(config, betas=np.ones_like(config.betas),
                    thetas=np.mod(np.angle(coeff), TWO_PI))
 
@@ -121,20 +119,19 @@ def element_coefficients(config: RisConfig) -> np.ndarray:
 def effective_weight_vector(config: RisConfig) -> np.ndarray:
     """Flat weight vector whose array response the reflection realizes.
 
-    Entry (m_v, m_h) is the element coefficient times the incident phase,
+    Entry (m_v, m_h) is the element coefficient times the incident wave,
     so the reflected amplitude toward psi_2 is d(psi_2)^H of this vector.
     """
-    phase_in = _incident_phase(config.incident, config.geom)
-    return (element_coefficients(config) * np.exp(1j * phase_in)).ravel()
+    return (element_coefficients(config)
+            * _incident_wave(config.incident, config.geom)).ravel()
 
 
 def reflection_coefficient(config: RisConfig, omega_1: SolidAngle,
                            omega_2: SolidAngle) -> complex:
     """Scalar cascade contribution a^H(omega_2) diag(coeffs) a(omega_1)."""
     geom = config.geom
-    a1 = directivity(geom, to_psi(omega_1, geom))
-    a2 = directivity(geom, to_psi(omega_2, geom))
-    return complex(np.sum(np.conj(a2) * element_coefficients(config).ravel() * a1))
+    weights = element_coefficients(config) * _incident_wave(omega_1, geom)
+    return complex(np.vdot(directivity(geom, to_psi(omega_2, geom)), weights))
 
 
 def effective_gain(config: RisConfig, omega_2: SolidAngle) -> complex:

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .design import EqualGainParams
+from .design import EqualGainParams, centered_eta, select_eta
 from .geometry import (AngularRect, ArrayGeometry, Lobe, MultiBeamSpec,
                        PsiRect, SolidAngle, make_grid, psi_bounds)
 
@@ -271,7 +271,6 @@ def build_scenario(raw: dict) -> ScenarioConfig:
 
 def resolve_eta(scenario: ScenarioConfig, cover) -> EqualGainParams:
     """Equal-gain parameters according to the scenario's eta mode."""
-    from .design import centered_eta, select_eta
     mode = scenario.design.eta_mode
     if mode == "zero":
         return EqualGainParams()

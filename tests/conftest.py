@@ -1,8 +1,22 @@
+import atexit
 import math
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import configuration, settings
 
 import risbeam as rb
+
+# Property tests draw the same examples on every run and keep no example
+# database.  Hypothesis still caches constants read from the sources (and
+# writes patches for failures), so its home is a temporary directory removed
+# at exit: a run leaves no .hypothesis/ directory behind.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
+configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 
 @pytest.fixture(scope="session")

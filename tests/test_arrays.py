@@ -1,9 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import risbeam as rb
+from risbeam.arrays import gains_along, sample_gains
 
 
 def test_axis_vector_single_element():
@@ -180,3 +184,33 @@ def test_gain_periodicity():
         shifted = rb.PsiPoint(point.xi + 2 * math.pi, point.zeta - 2 * math.pi)
         assert rb.gain(c, point) == pytest.approx(rb.gain(c, shifted), rel=1e-10,
                                                   abs=1e-12)
+
+
+def _direct_gain(weights, xi, zeta):
+    """|d(xi, zeta)^H w|^2 summed element by element."""
+    m_v, m_h = weights.shape
+    field = sum(weights[i, k] * cmath.exp(-1j * (i * xi + k * zeta))
+                for i in range(m_v) for k in range(m_h))
+    return abs(field) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_v=st.integers(1, 12), m_h=st.integers(1, 12), n_xi=st.integers(1, 6),
+       n_zeta=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_product_grid_and_curve_match_direct_sum(m_v, m_h, n_xi, n_zeta, seed):
+    """sample_gains on a product grid, gains_along on its diagonal curve, and
+    the element-by-element sum agree for any complex weights."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(m_v, m_h)) + 1j * rng.normal(size=(m_v, m_h))
+    xi = rng.uniform(-2 * math.pi, 2 * math.pi, n_xi)
+    zeta = rng.uniform(-2 * math.pi, 2 * math.pi, n_zeta)
+    tol = 1e-12 * np.abs(weights).sum() ** 2
+    want = np.array([[_direct_gain(weights, x, z) for z in zeta] for x in xi])
+    grid = sample_gains(weights, xi, zeta)
+    assert grid.shape == (n_xi, n_zeta)
+    assert np.abs(grid - want).max() <= tol
+    k = min(n_xi, n_zeta)
+    curve = gains_along(weights, xi[:k], zeta[:k])
+    assert curve.shape == (k,)
+    assert np.abs(curve - np.diag(grid)).max() <= tol
+    assert np.abs(curve - np.diag(want)).max() <= tol

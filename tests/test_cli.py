@@ -207,6 +207,33 @@ def test_compare_grows_with_separation(tmp_path):
     assert deltas[1] > deltas[0]
 
 
+def test_compare_phase_only_reports_projected_surfaces(tmp_path):
+    """A phase-only scenario compares the projected surfaces of both designs,
+    not their feeds, so its comparison differs from the amplitude-controlled one."""
+    payloads = {}
+    for name in ("paper_dual_beam", "unit_modulus_dual_beam"):
+        proc = run_cli("compare", "--config", str(CONFIGS / f"{name}.json"),
+                       "--out", str(tmp_path / name))
+        assert proc.returncode == 0, proc.stderr
+        payloads[name] = json.loads((tmp_path / name / "comparison.json").read_text())
+    scenario = load_scenario(str(CONFIGS / "unit_modulus_dual_beam.json"))
+    cover = rb.cover_set(scenario.spec, scenario.grid, scenario.geom)
+    params = rb.centered_eta(scenario.grid, scenario.geom)
+    means = []
+    for region in (cover, rb.bounding_rectangle_cover(cover, scenario.grid)):
+        feed = rb.design_closed_form(region, scenario.grid, scenario.geom, params)
+        surface = rb.unit_modulus_project(rb.ris_from_beamformer(
+            feed.beamformer, scenario.incident, scenario.geom))
+        assert np.all(surface.betas == 1.0)
+        means.append(rb.report(surface, cover, scenario.grid,
+                               resolution=max(scenario.output.pattern_resolution)
+                               ).mean_in_db)
+    got = payloads["unit_modulus_dual_beam"]
+    assert [got["multi_mean_db"], got["single_mean_db"]] == pytest.approx(means,
+                                                                          abs=1e-9)
+    assert abs(got["delta_db"] - payloads["paper_dual_beam"]["delta_db"]) > 1.0
+
+
 def test_link_snr_scales_with_power(tmp_path):
     base_args = ("link", "--config", str(CONFIGS / "single_subregion.json"),
                  "--noise-var", "1e-6", "--m-t", "2", "--m-r", "3")
@@ -263,3 +290,12 @@ def test_all_commands_deterministic(tmp_path, config_name):
     for rel in names_a:
         assert (tmp_path / "a" / rel).read_bytes() == \
             (tmp_path / "b" / rel).read_bytes(), f"{rel} differs between runs"
+
+
+@pytest.mark.parametrize("module", sorted(
+    "risbeam" if path.stem == "__init__" else f"risbeam.{path.stem}"
+    for path in (REPO / "src" / "risbeam").glob("*.py")))
+def test_module_imports_first_in_fresh_interpreter(module):
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr

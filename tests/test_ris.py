@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import risbeam as rb
 from risbeam.geometry import CoverSet
@@ -57,6 +60,30 @@ def test_reflection_matches_feed_gain():
         scale = 1.0 / np.max(np.abs(c.entries))
         expected = scale ** 2 * rb.gain(c, rb.to_psi(omega_2, geom))
         assert abs(gamma) ** 2 == pytest.approx(expected, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_v=st.integers(1, 12), m_h=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_reflection_coefficient_matches_direct_sum(m_v, m_h, seed):
+    """At any incidence omega_1, not only the designed one, the reflection is
+    sum beta * e^{j theta} * e^{j m.(psi_1 - psi_2)}; at the designed
+    incidence it is the feed's own field d(psi_2)^H c / max|c|, phase included."""
+    rng = np.random.default_rng(seed)
+    geom = rb.ArrayGeometry(m_v, m_h)
+    c = random_beamformer(rng, m_v, m_h)
+    config = rb.ris_from_beamformer(c, random_angle(rng), geom)
+    omega_1, omega_2 = random_angle(rng), random_angle(rng)
+    psi_1, psi_2 = rb.to_psi(omega_1, geom), rb.to_psi(omega_2, geom)
+    cells = [(i, k) for i in range(m_v) for k in range(m_h)]
+    want = sum(config.betas[i, k] * cmath.exp(1j * config.thetas[i, k])
+               * cmath.exp(1j * (i * (psi_1.xi - psi_2.xi) + k * (psi_1.zeta - psi_2.zeta)))
+               for i, k in cells)
+    got = rb.ris.reflection_coefficient(config, omega_1, omega_2)
+    assert abs(got - want) <= 1e-12 * geom.m
+    feed = c.as_grid() / np.max(np.abs(c.entries))
+    want = sum(feed[i, k] * cmath.exp(-1j * (i * psi_2.xi + k * psi_2.zeta))
+               for i, k in cells)
+    assert abs(rb.effective_gain(config, omega_2) - want) <= 1e-12 * geom.m
 
 
 def test_incident_angle_changes_phases_only():
