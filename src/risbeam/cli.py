@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -273,26 +274,27 @@ def cmd_link(args) -> int:
         raise ConfigError("--tx-power and --noise-var must be > 0")
     if args.m_t < 1 or args.m_r < 1:
         raise ConfigError("--m-t and --m-r must be >= 1")
-    omega_t = _parse_omega(args.omega_t, "--omega-t")
-    omega_r = _parse_omega(args.omega_r, "--omega-r")
+    # The tx and rx arrays are uniform lines whose steering entries have unit
+    # modulus, so their angles are checked but do not change the report.
+    _parse_omega(args.omega_t, "--omega-t")
+    _parse_omega(args.omega_r, "--omega-r")
     targets = [_parse_omega(t, "--omega-2") for t in args.omega_2] \
         if args.omega_2 else _lobe_centers(scenario)
     _, _, result, config = _run_design(scenario)
 
+    # The channel is rank one, rho_r*rho_t*gamma*a_r*a_t^H, so one reflection
+    # gives the norm and SNR that ris.cascaded_channel and ris.received_snr do.
     entries = []
     for omega_2 in targets:
-        scene = ris.LinkScene(omega_t=omega_t, omega_1=scenario.incident,
-                              omega_2=omega_2, omega_r=omega_r,
-                              rho_t=args.rho_t, rho_r=args.rho_r,
-                              m_t=args.m_t, m_r=args.m_r)
-        h = ris.cascaded_channel(scene, config)
-        gamma = ris.reflection_coefficient(config, scene.omega_1, scene.omega_2)
+        gamma = ris.reflection_coefficient(config, scenario.incident, omega_2)
+        path = abs(args.rho_r * args.rho_t * gamma)
         entries.append({
             "phi": omega_2.phi,
             "theta": omega_2.theta,
             "gamma_abs": abs(gamma),
-            "channel_fro_norm": float(np.linalg.norm(h)),
-            "snr_db": ris.received_snr(scene, config, args.tx_power, args.noise_var),
+            "channel_fro_norm": path * math.sqrt(args.m_r * args.m_t),
+            "snr_db": 10.0 * math.log10(args.tx_power * path ** 2 * args.m_r
+                                        / args.noise_var),
         })
     payload = {
         "tx_power_w": args.tx_power,

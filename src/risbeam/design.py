@@ -130,6 +130,12 @@ def cover_sum(cover: CoverSet, grid: PsiGrid, a_v: np.ndarray,
             @ axis(a_h, grid.zeta_bound, grid.delta_h, grid.q_h).T)
 
 
+def _sinc_factor(delta: float, count: int, eta: float) -> np.ndarray:
+    """Closed-form axis factor exp(j*x/2)*sinc(x/(2*pi)), x = delta*m + eta."""
+    x = delta * np.arange(count) + eta
+    return np.exp(1j * x / 2.0) * np.sinc(x / TWO_PI)
+
+
 def closed_form_vector(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
                        params: EqualGainParams) -> np.ndarray:
     """Unnormalized closed-form beamformer entries (the L -> infinity limit).
@@ -139,11 +145,9 @@ def closed_form_vector(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
     exp(j*x_a/2)*sinc(x_a/(2*pi)) with x_a = delta_a*m_a + eta_a, scaled
     by 2*pi/Q.  sinc is the normalized one, sin(pi*u)/(pi*u).
     """
-    x_v = grid.delta_v * np.arange(geom.m_v) + params.eta_v
-    x_h = grid.delta_h * np.arange(geom.m_h) + params.eta_h
-    f_v = np.exp(1j * x_v / 2.0) * np.sinc(x_v / TWO_PI)
-    f_h = np.exp(1j * x_h / 2.0) * np.sinc(x_h / TWO_PI)
-    return (TWO_PI / grid.q) * cover_sum(cover, grid, f_v, f_h).ravel()
+    return (TWO_PI / grid.q) * cover_sum(
+        cover, grid, _sinc_factor(grid.delta_v, geom.m_v, params.eta_v),
+        _sinc_factor(grid.delta_h, geom.m_h, params.eta_h)).ravel()
 
 
 def design_closed_form(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
@@ -392,14 +396,57 @@ def dd_h_deviation(grid: PsiGrid, geom: ArrayGeometry, l_v: int, l_h: int) -> fl
     return float(deviation / (c_v * c_h * math.sqrt(geom.m)))
 
 
+def _eta_scores(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry, etas_v,
+                etas_h, resolution: int = 256, interior_shrink: float = 0.1) -> np.ndarray:
+    """Interior ripple plus 10x leakage of the closed form for every ramp pair.
+
+    Each score is the one metrics.report gives the normalized closed form
+    sampled at ``resolution`` per axis.  That field is P_v . Mask . P_h^T
+    with P_a(eta) = S_a^T diag(f_a(eta)) E_a, S_a the sample steering and
+    f_a the sinc factors of closed_form_vector, so each axis factor is
+    built once per eta and each pair costs one product through Mask.  The
+    closed form's own norm scales the gains, so the dB floor applies as
+    it does to the normalized pattern.  Returns (len(etas_v), len(etas_h)).
+    """
+    if resolution < 32:
+        raise ValueError("resolution must be >= 32")
+    samples = np.linspace(-math.pi, math.pi, resolution)
+    in_mask, interior = metrics._cover_masks(samples, samples, cover, grid,
+                                             interior_shrink)
+    if not interior.any():
+        interior = in_mask
+    mask = cover_mask(cover, grid)
+
+    def axis_factors(m_count, bound, delta, q_count, etas):
+        cells = steering(m_count, -bound + delta * np.arange(q_count))
+        sampled = steering(m_count, -samples).T
+        return [sampled @ (_sinc_factor(delta, m_count, eta)[:, None] * cells)
+                for eta in etas]
+
+    p_v = [p @ mask for p in axis_factors(geom.m_v, grid.xi_bound, grid.delta_v,
+                                          grid.q_v, etas_v)]
+    p_h = axis_factors(geom.m_h, grid.zeta_bound, grid.delta_h, grid.q_h, etas_h)
+    scores = np.empty((len(etas_v), len(etas_h)))
+    for i, eta_v in enumerate(etas_v):
+        for j, eta_h in enumerate(etas_h):
+            vec = closed_form_vector(cover, grid, geom, EqualGainParams(eta_v, eta_h))
+            scale = (TWO_PI / grid.q) ** 2 / np.vdot(vec, vec).real
+            field = p_v[i] @ p_h[j].T
+            power = field.real ** 2 + field.imag ** 2
+            core = power[interior]
+            leakage = 1.0 - float(power[in_mask].sum()) / float(power.sum())
+            scores[i, j] = (metrics.to_db(float(core.max()) * scale)
+                            - metrics.to_db(float(core.min()) * scale)
+                            + 10.0 * leakage)
+    return scores
+
+
 def eta_objective(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
                   params: EqualGainParams, resolution: int = 256,
                   interior_shrink: float = 0.1) -> float:
     """Scalar quality of a candidate phase ramp: interior ripple plus 10x leakage."""
-    result = design_closed_form(cover, grid, geom, params)
-    rep = metrics.report(result.beamformer, cover, grid, resolution=resolution,
-                         interior_shrink=interior_shrink)
-    return rep.ripple_db + 10.0 * rep.leakage_fraction
+    return float(_eta_scores(cover, grid, geom, [params.eta_v], [params.eta_h],
+                             resolution, interior_shrink)[0, 0])
 
 
 def centered_eta(grid: PsiGrid, geom: ArrayGeometry) -> EqualGainParams:
@@ -443,12 +490,7 @@ def select_eta(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
     else:
         cand_v = np.linspace(-grid.delta_v, grid.delta_v, search_resolution)
         cand_h = np.linspace(-grid.delta_h, grid.delta_h, search_resolution)
-    best = None
-    best_obj = math.inf
-    for ev in cand_v:
-        for eh in cand_h:
-            params = EqualGainParams(eta_v=float(ev), eta_h=float(eh))
-            obj = eta_objective(cover, grid, geom, params)
-            if obj < best_obj:
-                best, best_obj = params, obj
-    return best
+    scores = _eta_scores(cover, grid, geom, cand_v, cand_h)
+    # argmin takes the first minimum in row-major order: smallest eta_v, then eta_h.
+    i, j = np.unravel_index(np.argmin(scores), scores.shape)
+    return EqualGainParams(eta_v=float(cand_v[i]), eta_h=float(cand_h[j]))

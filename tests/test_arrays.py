@@ -123,6 +123,21 @@ def test_gain_integral_flat_feed_exact_even_coarse():
     assert val == pytest.approx((2 * math.pi) ** 2, rel=1e-12)
 
 
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 12), st.data())
+def test_equal_weight_quadrature_is_parseval_for_any_weights(m_v, m_h, extra, data):
+    # gain_integral's quadrature, without its unit-norm beamformer: equal
+    # weights on n >= max(m_v, m_h) samples per axis integrate the gain of any
+    # weight grid exactly, to (2*pi)^2 ||c||^2.
+    parts = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=2 * m_v * m_h,
+                               max_size=2 * m_v * m_h))
+    weights = (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(m_v, m_h)
+    n = max(m_v, m_h) + extra
+    samples = -math.pi + 2 * math.pi * np.arange(n) / n
+    integral = sample_gains(weights, samples, samples).mean() * (2 * math.pi) ** 2
+    assert integral == pytest.approx((2 * math.pi) ** 2 * np.sum(np.abs(weights) ** 2),
+                                     rel=1e-9, abs=1e-12)
+
+
 def test_gain_integral_random_feeds():
     rng = np.random.default_rng(9)
     for _ in range(5):

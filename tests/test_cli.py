@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import risbeam as rb
-from risbeam.cli import read_pattern_csv
+from risbeam.cli import _run_design, read_pattern_csv
 from risbeam.scenario import load_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -257,6 +257,29 @@ def test_link_in_cover_beats_out_of_cover(tmp_path):
     payload = json.loads((tmp_path / "link_report.json").read_text())
     in_cover, out_cover = payload["directions"]
     assert in_cover["snr_db"] > out_cover["snr_db"] + 3.0
+
+
+def test_link_report_agrees_with_channel_and_snr(tmp_path):
+    config_path = CONFIGS / "unit_modulus_dual_beam.json"
+    proc = run_cli("link", "--config", str(config_path), "--tx-power", "2.5",
+                   "--noise-var", "3e-5", "--m-t", "3", "--m-r", "2",
+                   "--rho-t", "0.7", "--rho-r", "-1.3", "--omega-t", "0.1,-0.2",
+                   "--omega-r=-0.05,0.3", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads((tmp_path / "link_report.json").read_text())
+    scenario = load_scenario(config_path)
+    _, _, _, surface = _run_design(scenario)
+    assert len(payload["directions"]) == 2
+    for entry in payload["directions"]:
+        scene = rb.LinkScene(omega_t=rb.SolidAngle(0.1, -0.2),
+                             omega_1=scenario.incident,
+                             omega_2=rb.SolidAngle(entry["phi"], entry["theta"]),
+                             omega_r=rb.SolidAngle(-0.05, 0.3),
+                             rho_t=0.7, rho_r=-1.3, m_t=3, m_r=2)
+        h = rb.cascaded_channel(scene, surface)
+        assert entry["channel_fro_norm"] == pytest.approx(np.linalg.norm(h), rel=1e-12)
+        assert entry["snr_db"] == pytest.approx(
+            rb.received_snr(scene, surface, 2.5, 3e-5), rel=1e-12)
 
 
 def test_link_rejects_bad_angles(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from risbeam.design import (REFINE_GUARD, REFINE_OVERSAMPLE, _axis_normal_matrix
                             _axis_sample_points, approx_ls_scale, closed_form_vector,
                             cover_mask, cover_sum, fft_cover_masks)
 from risbeam.geometry import CoverSet, EmptyCoverError
+from risbeam.scenario import load_scenario
 
 TWO_PI = 2 * math.pi
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_cell_cover(p, q):
@@ -225,6 +228,81 @@ def test_select_eta_dual_beam_not_worse(dual_beam_cover, ref_grid, ref_geom):
     obj_zero = rb.eta_objective(dual_beam_cover, ref_grid, ref_geom,
                                 rb.EqualGainParams())
     assert obj_sel <= obj_zero + 1e-12
+
+
+def _per_candidate_search(cover, grid, geom, search_resolution):
+    """Reference eta search: a normalized closed form and a 256^2 report per
+    candidate, in row-major order, replacing the best only on a strict
+    improvement.  Returns the choice and every candidate's objective."""
+    if search_resolution == 1:
+        cand_v = cand_h = [0.0]
+    else:
+        cand_v = np.linspace(-grid.delta_v, grid.delta_v, search_resolution)
+        cand_h = np.linspace(-grid.delta_h, grid.delta_h, search_resolution)
+    best, best_obj, objectives = None, math.inf, {}
+    for ev in cand_v:
+        for eh in cand_h:
+            params = rb.EqualGainParams(eta_v=float(ev), eta_h=float(eh))
+            result = rb.design_closed_form(cover, grid, geom, params)
+            rep = rb.report(result.beamformer, cover, grid, resolution=256,
+                            interior_shrink=0.1)
+            obj = objectives[params] = rep.ripple_db + 10.0 * rep.leakage_fraction
+            if obj < best_obj:
+                best, best_obj = params, obj
+    return best, objectives
+
+
+def _assert_search_matches_reference(cover, grid, geom, search_resolution):
+    best, objectives = _per_candidate_search(cover, grid, geom, search_resolution)
+    assert rb.select_eta(cover, grid, geom, search_resolution) == best
+    for params, obj in objectives.items():
+        assert rb.eta_objective(cover, grid, geom, params) == pytest.approx(
+            obj, rel=0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("search_resolution", [1, 3, 5])
+@pytest.mark.parametrize("name", ["paper_dual_beam", "single_subregion",
+                                  "unit_modulus_dual_beam"])
+def test_select_eta_matches_per_candidate_search_on_shipped_configs(
+        name, search_resolution):
+    scenario = load_scenario(CONFIGS / f"{name}.json")
+    cover = rb.cover_set(scenario.spec, scenario.grid, scenario.geom)
+    _assert_search_matches_reference(cover, scenario.grid, scenario.geom,
+                                     search_resolution)
+
+
+def test_select_eta_takes_first_minimum_in_row_major_order(small_grid, monkeypatch):
+    geom, grid = small_grid
+    scores = np.full((3, 3), 2.0)
+    scores[1, 2] = scores[2, 0] = 1.0
+    monkeypatch.setattr(rb.design, "_eta_scores", lambda *args: scores)
+    assert rb.select_eta(single_cell_cover(4, 4), grid, geom, 3) == \
+        rb.EqualGainParams(eta_v=0.0, eta_h=grid.delta_h)
+
+
+# The select_eta slots of the design-sweep benchmark (bench/workloads.py):
+# aperture and grid per axis, lobe count and width.  Each lobe sits near the
+# centre of its own quadrant of the coverage range, jittered by 0.08 rad.
+SWEEP_SEARCH_SLOTS = [
+    pytest.param(m, q, count, width, id=f"{m}x{m}-q{q}")
+    for m, q, count, width in ((32, 16, 3, math.pi / 8), (32, 64, 4, math.pi / 32),
+                               (64, 16, 3, math.pi / 16), (64, 64, 4, 3 * math.pi / 32))]
+SWEEP_CENTRES = ((-0.35, -0.55), (-0.35, 0.55), (0.35, -0.55), (0.35, 0.55))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m, q, count, width", SWEEP_SEARCH_SLOTS)
+def test_select_eta_matches_per_candidate_search_on_sweep_slots(m, q, count, width,
+                                                                seed):
+    rng = np.random.default_rng(seed)
+    geom = rb.ArrayGeometry(m, m)
+    xi_b, zeta_b = rb.psi_bounds(geom, math.pi / 4, math.pi / 2)
+    grid = rb.make_grid(q, q, xi_b, zeta_b)
+    lobes = tuple(rb.Lobe.around(SWEEP_CENTRES[i][0] + rng.uniform(-0.08, 0.08),
+                                 SWEEP_CENTRES[i][1] + rng.uniform(-0.08, 0.08), width)
+                  for i in rng.permutation(len(SWEEP_CENTRES))[:count])
+    cover = rb.cover_set(rb.MultiBeamSpec(lobes), grid, geom)
+    _assert_search_matches_reference(cover, grid, geom, 5)
 
 
 def test_dd_h_deviation_full_period_axes_exact():

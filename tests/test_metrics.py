@@ -1,8 +1,11 @@
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import risbeam as rb
 from risbeam.geometry import CoverSet
@@ -87,7 +90,8 @@ def test_leakage_plus_in_cover_is_one(dual_beam_cover, ref_grid, ref_geom):
     pat = rb.sample_pattern(result.beamformer, 256)
     rep = rb.report_from_pattern(pat, dual_beam_cover, ref_grid)
     from risbeam.metrics import _cover_masks
-    in_mask, _ = _cover_masks(pat, dual_beam_cover, ref_grid, 0.1)
+    in_mask, _ = _cover_masks(pat.xi_samples, pat.zeta_samples, dual_beam_cover,
+                               ref_grid, 0.1)
     in_fraction = pat.gains[in_mask].sum() / pat.gains.sum()
     assert rep.leakage_fraction + in_fraction == pytest.approx(1.0, abs=1e-6)
 
@@ -221,6 +225,78 @@ def test_connected_components_synthetic():
     assert rb.connected_components_above(pat, 10.0) == 0
 
 
+def _bfs_components(mask):
+    """Reference: breadth-first 4-connected labelling, one sample at a time."""
+    visited = np.zeros_like(mask)
+    count = 0
+    rows, cols = mask.shape
+    for r0, c0 in zip(*np.nonzero(mask)):
+        if visited[r0, c0]:
+            continue
+        count += 1
+        queue = deque([(int(r0), int(c0))])
+        visited[r0, c0] = True
+        while queue:
+            r, c = queue.popleft()
+            for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if 0 <= rr < rows and 0 <= cc < cols and mask[rr, cc] \
+                        and not visited[rr, cc]:
+                    visited[rr, cc] = True
+                    queue.append((rr, cc))
+    return count
+
+
+def _components(mask):
+    mask = np.asarray(mask, dtype=bool)
+    pat = rb.PatternGrid(xi_samples=np.arange(mask.shape[0], dtype=float),
+                         zeta_samples=np.arange(mask.shape[1], dtype=float),
+                         gains=mask.astype(float))
+    return rb.connected_components_above(pat, 0.5)
+
+
+def _serpentine(rows, cols):
+    """Horizontal bars joined at alternating ends: one long winding component."""
+    mask = np.zeros((rows, cols), dtype=bool)
+    mask[::2] = True
+    for r in range(1, rows, 2):
+        mask[r, -1 if r % 4 == 1 else 0] = True
+    return mask
+
+
+def _nested_u(size):
+    """U shapes inside one another, each open at the top: one component per U."""
+    mask = np.zeros((size, size), dtype=bool)
+    for k in range(0, size // 2, 2):
+        mask[k:size - k, k] = mask[k:size - k, size - 1 - k] = True
+        mask[size - 1 - k, k:size - k] = True
+    return mask
+
+
+@pytest.mark.parametrize("mask, count", [
+    pytest.param(np.zeros((7, 9), dtype=bool), 0, id="empty"),
+    pytest.param(np.ones((7, 9), dtype=bool), 1, id="full"),
+    pytest.param(np.array([[1, 0, 1, 1, 0, 1]], dtype=bool), 3, id="one-row"),
+    pytest.param(np.array([[1], [1], [0], [1]], dtype=bool), 2, id="one-column"),
+    pytest.param(np.indices((8, 8)).sum(axis=0) % 2 == 0, 32, id="checkerboard"),
+    pytest.param(_serpentine(21, 11), 1, id="serpentine"),
+    pytest.param(np.rot90(_serpentine(21, 11)), 1, id="serpentine-rotated"),
+    pytest.param(_nested_u(16), 4, id="nested-u"),
+    pytest.param(np.flipud(_nested_u(16)), 4, id="nested-u-flipped"),
+])
+def test_connected_components_named_shapes(mask, count):
+    # Checkerboard squares touch only at corners, which 4-connectivity keeps
+    # apart.  In the rotated serpentine and the upright U shapes, runs whose
+    # labels differ are joined only in a second round of hooking.
+    assert _components(mask) == count == _bfs_components(mask)
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.05, 0.95))
+def test_connected_components_equal_breadth_first_search(rows, cols, seed, density):
+    mask = np.random.default_rng(seed).random((rows, cols)) < density
+    assert _components(mask) == _bfs_components(mask)
+
+
 def test_to_db_floor():
     assert to_db(0.0) == -120.0
     assert to_db(1.0) == 0.0
@@ -273,7 +349,7 @@ def test_cover_masks_match_per_cell_loop_on_edges(interior_shrink):
                          gains=np.ones((xi.size, zeta.size)))
     cells = frozenset({(1, 1), (1, 8), (3, 4), (3, 5), (4, 4), (6, 8), (6, 1)})
     cover = CoverSet(indices=cells, per_lobe=(cells,))
-    got = _cover_masks(pat, cover, grid, interior_shrink)
+    got = _cover_masks(xi, zeta, cover, grid, interior_shrink)
     want = _per_cell_cover_masks(pat, cover, grid, interior_shrink)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
