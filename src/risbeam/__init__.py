@@ -25,10 +25,8 @@ from .arrays import (
     PatternGrid,
     directivity,
     directivity_axis,
-    full_period_rect,
     gain,
     gain_integral,
-    pattern,
     solid_angle_directivity,
 )
 from .design import (
@@ -42,7 +40,6 @@ from .design import (
     design_closed_form,
     design_finite_l,
     design_refined,
-    equal_gain_vector,
     eta_objective,
     ideal_gain_level,
     select_eta,

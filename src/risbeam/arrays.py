@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, PsiPoint, PsiRect, SolidAngle
+from .geometry import ArrayGeometry, PsiPoint, SolidAngle
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,27 +122,6 @@ def gain(c: Beamformer, point: PsiPoint) -> float:
     """Beamforming gain |d(point)^H c|^2; real, in [0, M]."""
     return float(sample_gains(c.as_grid(), np.array([point.xi]),
                               np.array([point.zeta]))[0, 0])
-
-
-def sample_rect(weights_grid: np.ndarray, resolution_v: int, resolution_h: int,
-                bounds: PsiRect) -> PatternGrid:
-    """Uniform inclusive sampling of the gain of any (m_v, m_h) weight grid."""
-    xi = np.linspace(bounds.xi_min, bounds.xi_max, resolution_v)
-    zeta = np.linspace(bounds.zeta_min, bounds.zeta_max, resolution_h)
-    return PatternGrid(xi_samples=xi, zeta_samples=zeta,
-                       gains=sample_gains(weights_grid, xi, zeta))
-
-
-def pattern(c: Beamformer, resolution_v: int, resolution_h: int,
-            bounds: PsiRect) -> PatternGrid:
-    """Uniform inclusive sampling of the gain over ``bounds``."""
-    if resolution_v < 2 or resolution_h < 2:
-        raise ValueError("resolutions must be >= 2")
-    return sample_rect(c.as_grid(), resolution_v, resolution_h, bounds)
-
-
-def full_period_rect() -> PsiRect:
-    return PsiRect(-math.pi, math.pi, -math.pi, math.pi)
 
 
 def gain_integral(c: Beamformer, quadrature_resolution: int = 512) -> float:

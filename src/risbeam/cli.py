@@ -20,7 +20,8 @@ from .arrays import PatternGrid
 from .design import design_closed_form, design_finite_l
 from .geometry import (AngularRect, EmptyCoverError, PsiPoint, SolidAngle, cover_set,
                        from_psi)
-from .scenario import ConfigError, ScenarioConfig, load_scenario, parse_angle, resolve_eta
+from .scenario import (ConfigError, ScenarioConfig, load_scenario, parse_angle,
+                       parse_cut, resolve_eta)
 from .svgplot import heatmap_svg
 
 
@@ -174,7 +175,7 @@ def _parse_cut_flag(text: str) -> dict:
     axis, sep, value = text.partition(":")
     if not sep:
         raise ConfigError(f"--cut: expected axis:value, got {text!r}")
-    return {"axis": axis, "value": parse_angle(value, "--cut")}
+    return parse_cut({"axis": axis, "value": value}, "--cut")
 
 
 def cmd_cuts(args) -> int:
@@ -183,9 +184,6 @@ def cmd_cuts(args) -> int:
         if args.cut else list(scenario.output.cuts)
     if not cut_specs:
         raise ConfigError("no cuts given: add output.cuts to the config or pass --cut")
-    for spec_ in cut_specs:
-        if spec_["axis"] not in ("fixed_phi", "fixed_theta"):
-            raise ConfigError(f"--cut: unknown axis {spec_['axis']!r}")
     _, _, result, config = _run_design(scenario)
     source = _pattern_source(scenario, result, config)
     out = _out_dir(scenario, args)
@@ -274,16 +272,14 @@ def cmd_link(args) -> int:
         raise ConfigError("--tx-power and --noise-var must be > 0")
     if args.m_t < 1 or args.m_r < 1:
         raise ConfigError("--m-t and --m-r must be >= 1")
-    # The tx and rx arrays are uniform lines whose steering entries have unit
-    # modulus, so their angles are checked but do not change the report.
-    _parse_omega(args.omega_t, "--omega-t")
-    _parse_omega(args.omega_r, "--omega-r")
     targets = [_parse_omega(t, "--omega-2") for t in args.omega_2] \
         if args.omega_2 else _lobe_centers(scenario)
     _, _, result, config = _run_design(scenario)
 
     # The channel is rank one, rho_r*rho_t*gamma*a_r*a_t^H, so one reflection
     # gives the norm and SNR that ris.cascaded_channel and ris.received_snr do.
+    # The tx and rx arrays are uniform lines whose steering entries have unit
+    # modulus, so their departure and arrival angles do not enter the report.
     entries = []
     for omega_2 in targets:
         gamma = ris.reflection_coefficient(config, scenario.incident, omega_2)
@@ -318,6 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", default=None, help="output directory")
+
+    def sampled(p):
         p.add_argument("--resolution", default=None,
                        help="pattern resolution NxM, overrides the config")
 
@@ -327,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pattern", help="write the sampled gain grid and heatmap")
     common(p)
+    sampled(p)
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("cuts", help="write 1D pattern cuts and measured widths")
@@ -339,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="multi-lobe vs single bounding-lobe gain")
     common(p)
+    sampled(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("link", help="cascaded-channel SNR report")
@@ -349,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-r", type=int, default=1)
     p.add_argument("--rho-t", type=float, default=1.0)
     p.add_argument("--rho-r", type=float, default=1.0)
-    p.add_argument("--omega-t", default="0,0", help="departure at tx: phi,theta")
-    p.add_argument("--omega-r", default="0,0", help="arrival at rx: phi,theta")
     p.add_argument("--omega-2", action="append", default=None,
                    help="observation direction phi,theta (repeatable; "
                         "defaults to the lobe centers)")

@@ -87,15 +87,6 @@ def ideal_gain_level(cover: CoverSet, grid: PsiGrid) -> IdealGain:
     return IdealGain(level_t=t, cover=cover, grid=grid)
 
 
-def equal_gain_vector(params: EqualGainParams, l_v: int, l_h: int) -> np.ndarray:
-    """Unit-modulus phase ramp, flat row-major over (l_v', l_h') sample indices."""
-    if l_v < 1 or l_h < 1:
-        raise ValueError("sample counts must be >= 1")
-    g_v = np.exp(1j * params.eta_v * np.arange(l_v) / l_v)
-    g_h = np.exp(1j * params.eta_h * np.arange(l_h) / l_h)
-    return np.kron(g_v, g_h)
-
-
 def approx_ls_scale(l_total: int, q_total: int, delta_v: float, delta_h: float,
                     cover_size: int) -> float:
     """Scalar replacing the normal-matrix inverse in the approximate solve."""
@@ -278,15 +269,15 @@ def _normal_matrices(grid: PsiGrid, geom: ArrayGeometry, l_v: int, l_h: int):
 EIG_CUTOFF = 0.1
 
 
-def _truncated_inverse(mat: np.ndarray, rel_cutoff: float = EIG_CUTOFF):
+def _truncated_inverse(mat: np.ndarray):
     """Eigenvalue-truncated inverse of a Hermitian PSD matrix.
 
-    Returns the inverse restricted to eigendirections above
-    ``rel_cutoff`` times the largest eigenvalue, plus a flag telling
-    whether anything was discarded.
+    Returns the inverse restricted to eigendirections above EIG_CUTOFF
+    times the largest eigenvalue, plus a flag telling whether anything
+    was discarded.
     """
     vals, vecs = np.linalg.eigh(mat)
-    keep = vals > rel_cutoff * vals[-1]
+    keep = vals > EIG_CUTOFF * vals[-1]
     inv_vals = np.zeros_like(vals)
     inv_vals[keep] = 1.0 / vals[keep]
     return (vecs * inv_vals) @ vecs.conj().T, bool(np.any(~keep))
@@ -396,23 +387,25 @@ def dd_h_deviation(grid: PsiGrid, geom: ArrayGeometry, l_v: int, l_h: int) -> fl
     return float(deviation / (c_v * c_h * math.sqrt(geom.m)))
 
 
+# Samples per axis of the full period on which a candidate ramp is scored.
+ETA_RESOLUTION = 256
+
+
 def _eta_scores(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry, etas_v,
-                etas_h, resolution: int = 256, interior_shrink: float = 0.1) -> np.ndarray:
+                etas_h) -> np.ndarray:
     """Interior ripple plus 10x leakage of the closed form for every ramp pair.
 
     Each score is the one metrics.report gives the normalized closed form
-    sampled at ``resolution`` per axis.  That field is P_v . Mask . P_h^T
+    sampled at ETA_RESOLUTION per axis.  That field is P_v . Mask . P_h^T
     with P_a(eta) = S_a^T diag(f_a(eta)) E_a, S_a the sample steering and
     f_a the sinc factors of closed_form_vector, so each axis factor is
     built once per eta and each pair costs one product through Mask.  The
     closed form's own norm scales the gains, so the dB floor applies as
     it does to the normalized pattern.  Returns (len(etas_v), len(etas_h)).
     """
-    if resolution < 32:
-        raise ValueError("resolution must be >= 32")
-    samples = np.linspace(-math.pi, math.pi, resolution)
+    samples = np.linspace(-math.pi, math.pi, ETA_RESOLUTION)
     in_mask, interior = metrics._cover_masks(samples, samples, cover, grid,
-                                             interior_shrink)
+                                             metrics.INTERIOR_SHRINK)
     if not interior.any():
         interior = in_mask
     mask = cover_mask(cover, grid)
@@ -442,11 +435,9 @@ def _eta_scores(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry, etas_v,
 
 
 def eta_objective(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
-                  params: EqualGainParams, resolution: int = 256,
-                  interior_shrink: float = 0.1) -> float:
+                  params: EqualGainParams) -> float:
     """Scalar quality of a candidate phase ramp: interior ripple plus 10x leakage."""
-    return float(_eta_scores(cover, grid, geom, [params.eta_v], [params.eta_h],
-                             resolution, interior_shrink)[0, 0])
+    return float(_eta_scores(cover, grid, geom, [params.eta_v], [params.eta_h])[0, 0])
 
 
 def centered_eta(grid: PsiGrid, geom: ArrayGeometry) -> EqualGainParams:

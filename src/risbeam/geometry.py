@@ -10,8 +10,11 @@ subregions covering a requested multi-lobe beam.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,18 +312,13 @@ def lobe_psi_rects(lobe: Lobe, geom: ArrayGeometry) -> list:
     return out
 
 
-def _cells_hit(rect: PsiRect, grid: PsiGrid) -> set:
-    """Subregions whose interior overlaps ``rect`` with positive area."""
-    hit = set()
-    p_lo = max(1, int(math.floor((rect.xi_min + grid.xi_bound) / grid.delta_v)) + 1)
-    p_hi = min(grid.q_v, int(math.ceil((rect.xi_max + grid.xi_bound) / grid.delta_v)))
-    q_lo = max(1, int(math.floor((rect.zeta_min + grid.zeta_bound) / grid.delta_h)) + 1)
-    q_hi = min(grid.q_h, int(math.ceil((rect.zeta_max + grid.zeta_bound) / grid.delta_h)))
-    for p in range(p_lo, p_hi + 1):
-        for q in range(q_lo, q_hi + 1):
-            if rect.clip(grid.cell(p, q)) is not None:
-                hit.add((p, q))
-    return hit
+def _axis_hits(lo: float, hi: float, bound: float, delta: float, count: int) -> list:
+    """1-based cells i of one axis whose extent [edge(i-1), edge(i)] overlaps
+    [lo, hi] with positive length: min(hi, edge(i)) - max(lo, edge(i-1)) > 0,
+    with edge(i) = -bound + i*delta as in PsiGrid.xi_edge and zeta_edge."""
+    edges = -bound + np.arange(count + 1) * delta
+    overlap = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
+    return (np.flatnonzero(overlap > 0.0) + 1).tolist()
 
 
 def cover_set(spec: MultiBeamSpec, grid: PsiGrid, geom: ArrayGeometry) -> CoverSet:
@@ -339,7 +337,13 @@ def cover_set(spec: MultiBeamSpec, grid: PsiGrid, geom: ArrayGeometry) -> CoverS
             if clipped is None:
                 continue
             clipped_any = True
-            cells |= _cells_hit(clipped, grid)
+            # A cell meets the rectangle with positive area exactly when its
+            # row and its column each overlap it with positive length.
+            rows = _axis_hits(clipped.xi_min, clipped.xi_max, grid.xi_bound,
+                              grid.delta_v, grid.q_v)
+            cols = _axis_hits(clipped.zeta_min, clipped.zeta_max, grid.zeta_bound,
+                              grid.delta_h, grid.q_h)
+            cells.update(itertools.product(rows, cols))
         if not clipped_any or not cells:
             raise EmptyCoverError(
                 f"lobe {i} has no positive-area overlap with the coverage "

@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# sample_gains is re-exported for callers that look it up here.
-from .arrays import (Beamformer, PatternGrid, full_period_rect,  # noqa: F401
-                     gains_along, sample_gains, sample_rect)
+from .arrays import Beamformer, PatternGrid, gains_along, sample_gains
 from .geometry import ArrayGeometry, CoverSet, EmptyCoverError, PsiGrid
 from . import design, ris
 
 DB_FLOOR = -120.0
 _FLOOR_LIN = 10.0 ** (DB_FLOOR / 10.0)
+# Ripple is measured on every covered subregion shrunk by this fraction of
+# its width per axis on each side, which leaves out the edge roll-off.
+INTERIOR_SHRINK = 0.1
+# Cut widths are measured this many dB below each crossing's peak.
+CUT_LEVELS = (3.0, 10.0)
 
 
 def to_db(value: float) -> float:
@@ -86,9 +89,8 @@ def _axis_membership(samples: np.ndarray, bound: float, delta: float, count: int
 
 def _cover_masks(xi_samples: np.ndarray, zeta_samples: np.ndarray, cover: CoverSet,
                  grid: PsiGrid, interior_shrink: float):
-    """Samples inside the cover, and inside its subregions shrunk per axis."""
-    if not 0.0 <= interior_shrink < 0.5:
-        raise ValueError("interior_shrink must lie in [0, 0.5)")
+    """Samples inside the cover, and inside its subregions shrunk per axis
+    by ``interior_shrink`` of their width on each side."""
     mask = design.cover_mask(cover, grid)
 
     def masks(shrink):
@@ -104,26 +106,23 @@ def _cover_masks(xi_samples: np.ndarray, zeta_samples: np.ndarray, cover: CoverS
     return in_mask, masks(interior_shrink)
 
 
-def report_from_pattern(grid_pattern: PatternGrid, cover: CoverSet, grid: PsiGrid,
-                        interior_shrink: float = 0.1,
-                        ideal_level_db: float | None = None) -> PatternReport:
+def report_from_pattern(grid_pattern: PatternGrid, cover: CoverSet,
+                        grid: PsiGrid) -> PatternReport:
     """Coverage statistics of an already-sampled pattern.
 
     Leakage is the fraction of the sampled power falling outside the
     cover's subregions; ripple is measured only on subregions shrunk by
-    ``interior_shrink`` per axis on each side, excluding edge roll-off.
+    INTERIOR_SHRINK per axis on each side, excluding edge roll-off.
     """
     if cover.size == 0:
         raise EmptyCoverError("cover set is empty")
     in_mask, interior = _cover_masks(grid_pattern.xi_samples, grid_pattern.zeta_samples,
-                                     cover, grid, interior_shrink)
+                                     cover, grid, INTERIOR_SHRINK)
     gains = grid_pattern.gains
     in_gain = gains[in_mask]
     interior_gain = gains[interior] if np.any(interior) else in_gain
     total = float(gains.sum())
     leakage = 1.0 - float(in_gain.sum()) / total if total > 0 else 1.0
-    if ideal_level_db is None:
-        ideal_level_db = design.ideal_gain_level(cover, grid).level_db
     return PatternReport(
         mean_in_db=to_db(float(in_gain.mean())),
         median_in_db=to_db(float(np.median(in_gain))),
@@ -131,24 +130,29 @@ def report_from_pattern(grid_pattern: PatternGrid, cover: CoverSet, grid: PsiGri
         max_in_db=to_db(float(in_gain.max())),
         ripple_db=to_db(float(interior_gain.max())) - to_db(float(interior_gain.min())),
         leakage_fraction=leakage,
-        ideal_level_db=ideal_level_db,
+        ideal_level_db=design.ideal_gain_level(cover, grid).level_db,
         cover=cover)
 
 
-def report(source, cover: CoverSet, grid: PsiGrid, resolution: int = 512,
-           interior_shrink: float = 0.1) -> PatternReport:
+def report(source, cover: CoverSet, grid: PsiGrid,
+           resolution: int = 512) -> PatternReport:
     """Sample the source's gain over the full period and analyze the cover."""
     if resolution < 32:
         raise ValueError("resolution must be >= 32")
-    return report_from_pattern(sample_pattern(source, resolution), cover, grid,
-                               interior_shrink)
+    return report_from_pattern(sample_pattern(source, resolution), cover, grid)
 
 
 def sample_pattern(source, resolution: int,
                    resolution_h: int | None = None) -> PatternGrid:
-    """Inclusive uniform sampling of the source's gain over the full period."""
-    return sample_rect(_weights_grid(source), resolution, resolution_h or resolution,
-                       full_period_rect())
+    """Inclusive uniform sampling of the source's gain over the full period.
+
+    The one pattern sampler: ``resolution`` points per axis on
+    [-pi, pi] (``resolution_h`` along zeta when given), endpoints included.
+    """
+    xi = np.linspace(-math.pi, math.pi, resolution)
+    zeta = np.linspace(-math.pi, math.pi, resolution_h or resolution)
+    return PatternGrid(xi_samples=xi, zeta_samples=zeta,
+                       gains=sample_gains(_weights_grid(source), xi, zeta))
 
 
 def _crossing(angles, gains_db, i_from, i_to, level_db):
@@ -179,13 +183,13 @@ def _lobe_widths(angles, gains_db, peak_idx, level_db):
 
 
 def cut(source, grid: PsiGrid, geom: ArrayGeometry, axis: str, fixed_value: float,
-        resolution: int = 512, levels: tuple = (3.0, 10.0)) -> CutProfile:
+        resolution: int = 512) -> CutProfile:
     """1D cross-section at fixed elevation (``fixed_phi``) or azimuth (``fixed_theta``).
 
     The swept angle runs over the whole visible half-space; lobe
     crossings are the contiguous runs within 3 dB of the cut maximum, and
-    each crossing's width at ``peak - level`` is measured outward from its
-    peak with linear interpolation.
+    each crossing's width at ``peak - level`` for every CUT_LEVELS level is
+    measured outward from its peak with linear interpolation.
     """
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
@@ -212,7 +216,7 @@ def cut(source, grid: PsiGrid, geom: ArrayGeometry, axis: str, fixed_value: floa
     gains_db = 10.0 * np.log10(np.maximum(gains_along(weights, xi, zeta),
                                           _FLOOR_LIN))
 
-    widths = {level: [] for level in levels}
+    widths = {level: [] for level in CUT_LEVELS}
     run_floor = gains_db.max() - 3.0
     above = gains_db >= run_floor
     if not above.all():
@@ -224,7 +228,7 @@ def cut(source, grid: PsiGrid, geom: ArrayGeometry, axis: str, fixed_value: floa
             ends.append(above.size - 1)
         for start, end in zip(starts, ends):
             peak_idx = start + int(np.argmax(gains_db[start:end + 1]))
-            for level in levels:
+            for level in CUT_LEVELS:
                 w = _lobe_widths(angles, gains_db, peak_idx, level)
                 if w is not None:
                     widths[level].append(w)

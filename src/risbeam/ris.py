@@ -63,21 +63,19 @@ def _incident_wave(omega_1: SolidAngle, geom: ArrayGeometry) -> np.ndarray:
                                     psi1.zeta * np.arange(geom.m_h)))
 
 
-def ris_from_beamformer(c: Beamformer, omega_1: SolidAngle, geom: ArrayGeometry,
-                        rescale: bool = True) -> RisConfig:
+def ris_from_beamformer(c: Beamformer, omega_1: SolidAngle,
+                        geom: ArrayGeometry) -> RisConfig:
     """Element coefficients realizing the gain pattern of ``c``.
 
-    With ``rescale`` (default) the amplitudes are divided by the largest
-    feed magnitude, so max beta == 1 and the reflected power is maximal
-    for the pattern shape; without it, beta = |c| directly, which for a
-    unit-norm feed leaves every amplitude well below 1.
+    The amplitudes are divided by the largest feed magnitude, so
+    max beta == 1 and the reflected power is maximal for the pattern shape.
     """
     if c.m_v != geom.m_v or c.m_h != geom.m_h:
         raise ValueError("beamformer and geometry sizes differ")
     peak = np.max(np.abs(c.entries))
     if peak == 0.0:
         raise ValueError("zero beamformer")
-    scaled = c.as_grid() / peak if rescale else c.as_grid()
+    scaled = c.as_grid() / peak
     coeff = scaled * _incident_wave(omega_1, geom).conj()
     return RisConfig(betas=np.abs(coeff),
                      thetas=np.mod(np.angle(coeff), TWO_PI),

@@ -30,7 +30,7 @@ _PI_FORM = re.compile(
 
 def parse_angle(value, where: str = "angle") -> float:
     """Radians from a number or a 'a/b pi' style string."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected number or string, got {type(value).__name__}")
@@ -83,19 +83,24 @@ class ScenarioConfig:
 
 
 def _get(section: dict, key: str, default, where: str):
+    """``section[key]``, or ``default`` when absent, of the default's JSON type.
+
+    A JSON boolean is not a number here, although Python's bool is an int.
+    """
     value = section.get(key, default)
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}.{key}: expected boolean")
-        return value
-    if isinstance(default, int) and not isinstance(value, bool):
-        if not isinstance(value, int):
-            raise ConfigError(f"{where}.{key}: expected integer")
-        return value
-    if isinstance(default, float):
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key}: expected number")
-        return float(value)
+    kind, types = {bool: ("boolean", bool), int: ("integer", int),
+                   float: ("number", (int, float)), str: ("string", str)}[type(default)]
+    if (not isinstance(value, types)
+            or isinstance(value, bool) != isinstance(default, bool)):
+        raise ConfigError(f"{where}.{key}: expected {kind}")
+    return float(value) if kind == "number" else value
+
+
+def _get_count(section: dict, key: str, default: int, where: str) -> int:
+    """An integer field that must be at least 1."""
+    value = _get(section, key, default, where)
+    if value < 1:
+        raise ConfigError(f"{where}.{key}: expected an integer >= 1, got {value}")
     return value
 
 
@@ -131,8 +136,8 @@ def _parse_lobe(entry: dict, index: int) -> Lobe:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _parse_cut(entry: dict, index: int) -> dict:
-    where = f"output.cuts[{index}]"
+def parse_cut(entry: dict, where: str) -> dict:
+    """Validated {axis, value} of one cut; errors are labelled with ``where``."""
     if not isinstance(entry, dict) or "axis" not in entry or "value" not in entry:
         raise ConfigError(f"{where}: expected {{axis, value}}")
     axis = entry["axis"]
@@ -219,7 +224,7 @@ def build_scenario(raw: dict) -> ScenarioConfig:
     elif isinstance(eta_raw, dict):
         if "search_resolution" in eta_raw:
             eta_mode = "search"
-            search_res = _get(eta_raw, "search_resolution", 5, "design.eta")
+            search_res = _get_count(eta_raw, "search_resolution", 5, "design.eta")
         elif "eta_v" in eta_raw and "eta_h" in eta_raw:
             eta_mode = "explicit"
             eta_v = parse_angle(eta_raw["eta_v"], "design.eta.eta_v")
@@ -230,8 +235,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("design.eta: expected string or object")
     design = DesignOptions(
         method=method,
-        l_v=_get(des, "l_v", 16, "design"),
-        l_h=_get(des, "l_h", 16, "design"),
+        l_v=_get_count(des, "l_v", 16, "design"),
+        l_h=_get_count(des, "l_h", 16, "design"),
         exact_ls=_get(des, "exact_ls", False, "design"),
         eta_mode=eta_mode, eta_v=eta_v, eta_h=eta_h,
         search_resolution=search_res,
@@ -249,8 +254,8 @@ def build_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError("output.cuts: expected a list")
     output = OutputOptions(
         pattern_resolution=tuple(res),
-        cuts=tuple(_parse_cut(c, i) for i, c in enumerate(cuts_sec)),
-        directory=out_sec.get("dir", "out"))
+        cuts=tuple(parse_cut(c, f"output.cuts[{i}]") for i, c in enumerate(cuts_sec)),
+        directory=_get(out_sec, "dir", "out", "output"))
 
     effective = {
         "array": {"m_v": geom.m_v, "m_h": geom.m_h,

@@ -1,12 +1,21 @@
 import atexit
 import math
+import os
 import shutil
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import configuration, settings
 
 import risbeam as rb
+
+# pytest imports risbeam from src/ (pyproject's `pythonpath`); the CLI tests'
+# child interpreters get the same directory, so an uninstalled checkout
+# tests its own sources end to end.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 # Property tests draw the same examples on every run and keep no example
 # database.  Hypothesis still caches constants read from the sources (and

@@ -89,8 +89,7 @@ def test_beamformer_requires_unit_norm():
 def test_pattern_corner_samples():
     geom = rb.ArrayGeometry(2, 3)
     c = rb.Beamformer.steering(geom, rb.PsiPoint(0.4, 0.9))
-    rect = rb.full_period_rect()
-    pat = rb.pattern(c, 2, 2, rect)
+    pat = rb.sample_pattern(c, 2)
     for i, xi in enumerate((-math.pi, math.pi)):
         for j, zeta in enumerate((-math.pi, math.pi)):
             assert pat.gains[i, j] == pytest.approx(
@@ -100,7 +99,7 @@ def test_pattern_corner_samples():
 def test_pattern_of_single_element_feed_is_one():
     e0 = np.zeros(9, dtype=complex)
     e0[0] = 1.0
-    pat = rb.pattern(rb.Beamformer(e0, 3, 3), 16, 16, rb.full_period_rect())
+    pat = rb.sample_pattern(rb.Beamformer(e0, 3, 3), 16)
     assert np.allclose(pat.gains, 1.0, atol=1e-12)
 
 
@@ -108,7 +107,7 @@ def test_pattern_peak_at_steer_point():
     geom = rb.ArrayGeometry(8, 8)
     target = rb.PsiPoint(0.8143, -1.3125)
     c = rb.Beamformer.steering(geom, target)
-    pat = rb.pattern(c, 512, 512, rb.full_period_rect())
+    pat = rb.sample_pattern(c, 512)
     i, j = np.unravel_index(np.argmax(pat.gains), pat.gains.shape)
     step = 2 * math.pi / 511
     assert abs(pat.xi_samples[i] - target.xi) <= step

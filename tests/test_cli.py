@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import risbeam as rb
-from risbeam.cli import _run_design, read_pattern_csv
+from risbeam.cli import _run_design, build_parser, read_pattern_csv
+from risbeam.cli import main as cli_main
 from risbeam.scenario import load_scenario
 
 REPO = Path(__file__).resolve().parent.parent
@@ -263,13 +265,14 @@ def test_link_report_agrees_with_channel_and_snr(tmp_path):
     config_path = CONFIGS / "unit_modulus_dual_beam.json"
     proc = run_cli("link", "--config", str(config_path), "--tx-power", "2.5",
                    "--noise-var", "3e-5", "--m-t", "3", "--m-r", "2",
-                   "--rho-t", "0.7", "--rho-r", "-1.3", "--omega-t", "0.1,-0.2",
-                   "--omega-r=-0.05,0.3", "--out", str(tmp_path))
+                   "--rho-t", "0.7", "--rho-r", "-1.3", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     payload = json.loads((tmp_path / "link_report.json").read_text())
     scenario = load_scenario(config_path)
     _, _, _, surface = _run_design(scenario)
     assert len(payload["directions"]) == 2
+    # The scene's tx and rx angles are arbitrary: the report, which takes
+    # none, still matches the channel, so it does not depend on them.
     for entry in payload["directions"]:
         scene = rb.LinkScene(omega_t=rb.SolidAngle(0.1, -0.2),
                              omega_1=scenario.incident,
@@ -280,6 +283,50 @@ def test_link_report_agrees_with_channel_and_snr(tmp_path):
         assert entry["channel_fro_norm"] == pytest.approx(np.linalg.norm(h), rel=1e-12)
         assert entry["snr_db"] == pytest.approx(
             rb.received_snr(scene, surface, 2.5, 3e-5), rel=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--omega-t", "--omega-r"])
+def test_removed_link_angle_flags_exit_2(tmp_path, flag):
+    proc = run_cli("link", "--config", str(CONFIGS / "single_subregion.json"),
+                   "--out", str(tmp_path), flag, "0,0")
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {flag} 0,0" in proc.stderr
+    assert not (tmp_path / "link_report.json").exists()
+
+
+def _flags(command: str) -> set:
+    """Every option string the parser accepts for ``command``."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {flag for action in sub.choices[command]._actions
+            for flag in action.option_strings}
+
+
+# One changed value per link flag; --out only says where the report goes.
+LINK_FLAG_CHANGES = {
+    "--config": str(CONFIGS / "paper_dual_beam.json"),
+    "--tx-power": "2.0",
+    "--noise-var": "1e-3",
+    "--m-t": "2",
+    "--m-r": "2",
+    "--rho-t": "0.5",
+    "--rho-r": "0.5",
+    "--omega-2": "0.1,0.2",
+}
+
+
+def test_every_link_flag_changes_the_report(tmp_path):
+    assert _flags("link") == set(LINK_FLAG_CHANGES) | {"--out", "-h", "--help"}
+
+    def report(name, *extra):
+        out = tmp_path / name
+        assert cli_main(["link", "--config", str(CONFIGS / "single_subregion.json"),
+                         "--out", str(out), *extra]) == 0
+        return (out / "link_report.json").read_bytes()
+
+    base = report("base")
+    for flag, value in LINK_FLAG_CHANGES.items():
+        assert report(flag.strip("-"), flag, value) != base, f"{flag} is dead"
 
 
 def test_link_rejects_bad_angles(tmp_path):

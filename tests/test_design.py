@@ -55,22 +55,6 @@ def test_ideal_level_single_cell(ref_grid):
         pytest.approx(TWO_PI ** 2, rel=1e-10)
 
 
-def test_equal_gain_vector_zero_ramp_is_ones():
-    g = rb.equal_gain_vector(rb.EqualGainParams(), 4, 3)
-    assert np.allclose(g, np.ones(12), atol=0)
-
-
-def test_equal_gain_vector_single_sample():
-    assert np.array_equal(rb.equal_gain_vector(rb.EqualGainParams(1.0, -2.0), 1, 1),
-                          np.array([1.0 + 0j]))
-
-
-def test_equal_gain_vector_half_turn():
-    g = rb.equal_gain_vector(rb.EqualGainParams(eta_v=math.pi, eta_h=0.0), 2, 1)
-    assert np.allclose(g, [1.0, 1j], atol=1e-15)
-    assert np.max(np.abs(np.abs(g) - 1.0)) < 1e-15
-
-
 def test_scale_formula():
     sigma = approx_ls_scale(4, 4, math.pi / 2, math.pi / 2, 1)
     assert sigma == pytest.approx(0.25, rel=1e-12)
@@ -244,8 +228,7 @@ def _per_candidate_search(cover, grid, geom, search_resolution):
         for eh in cand_h:
             params = rb.EqualGainParams(eta_v=float(ev), eta_h=float(eh))
             result = rb.design_closed_form(cover, grid, geom, params)
-            rep = rb.report(result.beamformer, cover, grid, resolution=256,
-                            interior_shrink=0.1)
+            rep = rb.report(result.beamformer, cover, grid, resolution=256)
             obj = objectives[params] = rep.ripple_db + 10.0 * rep.leakage_fraction
             if obj < best_obj:
                 best, best_obj = params, obj

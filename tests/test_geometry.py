@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import risbeam as rb
 from risbeam.geometry import (CoverSet, EmptyCoverError, GridRangeError, Lobe,
@@ -59,6 +61,27 @@ def test_round_trip_over_coverage_range():
         back = rb.from_psi(rb.to_psi(angle, HALF_WAVE), HALF_WAVE)
         assert back.phi == pytest.approx(angle.phi, abs=1e-12)
         assert back.theta == pytest.approx(angle.theta, abs=1e-12)
+
+
+# Inside |phi|, |theta| <= pi/2 - 1e-3; the round trip is ill-conditioned
+# toward grazing, so the tolerance follows the chain of asin inversions.
+VISIBLE = math.pi / 2 - 1e-3
+EPS = np.finfo(float).eps
+
+
+@given(phi=st.floats(-VISIBLE, VISIBLE), theta=st.floats(-VISIBLE, VISIBLE),
+       d_x=st.floats(0.1, 2.0), d_z=st.floats(0.1, 2.0))
+def test_from_psi_inverts_to_psi_in_visible_region(phi, theta, d_x, d_z):
+    """A relative rounding e in sin(phi) moves asin's phi by about e/cos(phi).
+    cos of that phi then errs relatively by e/cos(phi)^2, which divides zeta
+    and so moves theta by about e/(cos(phi)^2 cos(theta)).  The bounds are
+    4 eps times those factors: at the corner (pi/2 - 1e-3)^2 that is 8.9e-13
+    for phi and 8.9e-7 for theta, whose worst error there is 1.6e-7."""
+    geom = rb.ArrayGeometry(2, 2, d_x, d_z)
+    back = rb.from_psi(rb.to_psi(rb.SolidAngle(phi, theta), geom), geom)
+    cos_phi, cos_theta = math.cos(phi), math.cos(theta)
+    assert abs(back.phi - phi) <= 4 * EPS / cos_phi
+    assert abs(back.theta - theta) <= 4 * EPS / (cos_phi ** 2 * cos_theta)
 
 
 def test_make_grid_reference_cell_sizes():
@@ -143,6 +166,48 @@ def brute_force_cover(spec, grid, geom):
                     if w > 0 and h > 0:
                         cells.add((p, q))
     return cells
+
+
+def _ulps_from(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def near_edge_requests(draw):
+    """A grid and 1-3 transform-domain lobes whose every edge lies within 4
+    ulps of a cell edge (or of a point one cell beyond the grid)."""
+    grid = rb.make_grid(draw(st.integers(1, 40)), draw(st.integers(1, 40)),
+                        draw(st.floats(0.1, math.pi)), draw(st.floats(0.1, math.pi)))
+
+    def extent(edge, count):
+        return sorted(_ulps_from(edge(draw(st.integers(-1, count + 1))),
+                                 draw(st.integers(-4, 4))) for _ in range(2))
+
+    lobes = []
+    for _ in range(draw(st.integers(1, 3))):
+        xi = extent(grid.xi_edge, grid.q_v)
+        zeta = extent(grid.zeta_edge, grid.q_h)
+        lobes.append(Lobe.from_psi_rect(PsiRect(*xi, *zeta)))
+    return grid, rb.MultiBeamSpec(tuple(lobes))
+
+
+@settings(max_examples=400)
+@given(near_edge_requests())
+def test_cover_set_equals_brute_force_near_cell_edges(case):
+    """Lobe edges a few ulps from a cell edge: the cover holds exactly the
+    cells each lobe overlaps with positive area, by the oracle's own sums."""
+    grid, spec = case
+    want = [frozenset(brute_force_cover(rb.MultiBeamSpec((lobe,)), grid, HALF_WAVE))
+            for lobe in spec.lobes]
+    if not all(want):
+        with pytest.raises(EmptyCoverError):
+            rb.cover_set(spec, grid, HALF_WAVE)
+        return
+    cover = rb.cover_set(spec, grid, HALF_WAVE)
+    assert cover.per_lobe == tuple(want)
+    assert cover.indices == frozenset().union(*want)
 
 
 def test_dual_beam_cover_matches_brute_force(dual_beam_spec, ref_grid, ref_geom):

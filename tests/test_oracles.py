@@ -56,7 +56,9 @@ def test_finite_l_matches_weighted_steering_sum():
     params = rb.EqualGainParams(eta_v=0.9, eta_h=-2.1)
     l_v, l_h = 3, 2
 
-    g = rb.equal_gain_vector(params, l_v, l_h)
+    # The unit-modulus ramp exp(j*eta*l/L) per axis, row-major over (l_v', l_h').
+    g = np.kron(np.exp(1j * params.eta_v * np.arange(l_v) / l_v),
+                np.exp(1j * params.eta_h * np.arange(l_h) / l_h))
     sigma = approx_ls_scale(l_v * l_h, grid.q, grid.delta_v, grid.delta_h,
                             cover.size)
     expected = np.zeros(geom.m, dtype=complex)

@@ -41,14 +41,6 @@ def test_strongest_element_always_reflects_fully():
         assert config.betas.min() >= 0.0
 
 
-def test_literal_amplitudes_without_rescale():
-    rng = np.random.default_rng(23)
-    geom = rb.ArrayGeometry(4, 4)
-    c = random_beamformer(rng, 4, 4)
-    config = rb.ris_from_beamformer(c, BROADSIDE, geom, rescale=False)
-    assert np.allclose(config.betas, np.abs(c.as_grid()), atol=1e-12)
-
-
 def test_reflection_matches_feed_gain():
     rng = np.random.default_rng(31)
     geom = rb.ArrayGeometry(6, 5)

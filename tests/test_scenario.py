@@ -1,9 +1,11 @@
+import json
 import math
 from pathlib import Path
 
 import pytest
 
 import risbeam as rb
+from risbeam import cli
 from risbeam.scenario import (ConfigError, build_scenario, load_scenario,
                               parse_angle, resolve_eta)
 
@@ -71,6 +73,21 @@ def test_anisotropic_widths():
     assert rect.theta_max - rect.theta_min == pytest.approx(math.pi / 4)
 
 
+LOBE = {"phi": 0, "theta": 0}
+
+# Input errors the design stage used to report (exit 3) or crash on (exit 1):
+# JSON booleans read as numbers, a non-string output directory, counts < 1.
+LOADER_GAPS = [
+    ({"array": {"m_v": True}}, "array.m_v"),
+    ({"grid": {"q_v": True}}, "grid.q_v"),
+    ({"array": {"d_x_over_lambda": True}}, "array.d_x_over_lambda"),
+    ({"output": {"dir": 5}}, "output.dir"),
+    ({"design": {"l_v": 0}}, "design.l_v"),
+    ({"design": {"method": "finite_l", "l_h": -3}}, "design.l_h"),
+    ({"design": {"eta": {"search_resolution": 0}}}, "design.eta.search_resolution"),
+]
+
+
 @pytest.mark.parametrize("raw,fragment", [
     ({"lobes": []}, "lobes"),
     ({"lobes": [{"phi": 0}]}, "lobes[0]"),
@@ -84,10 +101,30 @@ def test_anisotropic_widths():
       "output": {"pattern_resolution": [1, 4]}}, "pattern_resolution"),
     ({"lobes": [{"phi": 0, "theta": 0}],
       "output": {"cuts": [{"axis": "diagonal", "value": 0}]}}, "axis"),
-])
+] + [({"lobes": [LOBE], **raw}, fragment) for raw, fragment in LOADER_GAPS + [
+    ({"array": {"m_h": False}}, "array.m_h"),
+    ({"array": {"d_z_over_lambda": False}}, "array.d_z_over_lambda"),
+    ({"grid": {"q_h": True}}, "grid.q_h"),
+    ({"grid": {"phi_bound": True}}, "grid.phi_bound"),
+    ({"incident": {"phi": True}}, "incident.phi"),
+    ({"design": {"l_v": True}}, "design.l_v"),
+    ({"design": {"eta": {"search_resolution": True}}}, "design.eta.search_resolution"),
+    ({"lobes": [{**LOBE, "width": False}]}, "lobes[0].width"),
+    ({"output": {"dir": None}}, "output.dir"),
+]])
 def test_config_errors_name_the_field(raw, fragment):
     with pytest.raises(ConfigError, match=fragment.replace("[", "\\[")):
         build_scenario(raw)
+
+
+@pytest.mark.parametrize("raw,fragment", LOADER_GAPS)
+def test_loader_errors_exit_2(tmp_path, monkeypatch, capsys, raw, fragment):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"lobes": [LOBE], **raw}), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["design", "--config", str(config)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 def test_invalid_json_reports_line(tmp_path):

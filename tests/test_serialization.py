@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from risbeam import cli, metrics
 from risbeam.arrays import PatternGrid
@@ -186,6 +188,35 @@ def test_pattern_csv_matches_scalar_reference_and_round_trips(tmp_path):
     assert np.array_equal(back.xi_samples, pattern.xi_samples)
     assert np.array_equal(back.zeta_samples, pattern.zeta_samples)
     floored = np.maximum(gains, 10.0 ** (metrics.DB_FLOOR / 10.0))
+    assert np.allclose(back.gains, floored, rtol=1e-12, atol=0.0)
+
+
+@st.composite
+def pattern_grids(draw):
+    """Random grid sizes and axes; gains log-uniform from 1e-300 to 1e6 plus
+    one exact zero, so every grid holds a value below the -120 dB floor."""
+    n_xi, n_zeta = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+    xi = np.array(draw(st.lists(finite, min_size=n_xi, max_size=n_xi)))
+    zeta = np.array(draw(st.lists(finite, min_size=n_zeta, max_size=n_zeta)))
+    exponents = draw(st.lists(st.floats(-300.0, 6.0), min_size=n_xi * n_zeta,
+                              max_size=n_xi * n_zeta))
+    gains = 10.0 ** np.array(exponents).reshape(n_xi, n_zeta)
+    gains[draw(st.integers(0, n_xi - 1)), draw(st.integers(0, n_zeta - 1))] = 0.0
+    return PatternGrid(xi_samples=xi, zeta_samples=zeta, gains=gains)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pattern=pattern_grids())
+def test_pattern_csv_round_trips_on_random_grids(tmp_path, pattern):
+    """Axes come back bit for bit; gains come back floored at -120 dB, to
+    the ulps that log10, %.17g and 10**(dB/10) each cost."""
+    path = tmp_path / "pattern.csv"
+    path.write_text(pattern_csv_text(pattern), encoding="utf-8")
+    back = read_pattern_csv(path)
+    assert np.array_equal(back.xi_samples, pattern.xi_samples)
+    assert np.array_equal(back.zeta_samples, pattern.zeta_samples)
+    floored = np.maximum(pattern.gains, 10.0 ** (metrics.DB_FLOOR / 10.0))
     assert np.allclose(back.gains, floored, rtol=1e-12, atol=0.0)
 
 
