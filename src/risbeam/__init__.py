@@ -6,6 +6,7 @@ from .geometry import (
     CoverSet,
     EmptyCoverError,
     GridRangeError,
+    IdealGain,
     Lobe,
     MultiBeamSpec,
     OutOfImageError,
@@ -15,6 +16,7 @@ from .geometry import (
     SolidAngle,
     cover_set,
     from_psi,
+    ideal_gain_level,
     make_grid,
     psi_bounds,
     subregion_of,
@@ -32,7 +34,6 @@ from .arrays import (
 from .design import (
     DesignResult,
     EqualGainParams,
-    IdealGain,
     MethodInfo,
     centered_eta,
     closed_form_vector,
@@ -41,8 +42,8 @@ from .design import (
     design_finite_l,
     design_refined,
     eta_objective,
-    ideal_gain_level,
     select_eta,
+    unit_modulus_fallback,
 )
 from .ris import (
     LinkScene,
@@ -52,7 +53,6 @@ from .ris import (
     effective_weight_vector,
     received_snr,
     ris_from_beamformer,
-    unit_modulus_fallback,
     unit_modulus_project,
 )
 from .metrics import (

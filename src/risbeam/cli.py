@@ -48,36 +48,26 @@ def _write_json(path: Path, payload):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _design(scenario: ScenarioConfig, cover):
-    """Equal-gain params and the scenario's design method applied to ``cover``."""
-    params = resolve_eta(scenario, cover)
-    if scenario.design.method == "closed_form":
-        return params, design_closed_form(cover, scenario.grid, scenario.geom, params)
-    return params, design_finite_l(cover, scenario.grid, scenario.geom, params,
-                                   l_v=scenario.design.l_v, l_h=scenario.design.l_h,
-                                   exact_ls=scenario.design.exact_ls)
-
-
-def _surface(scenario: ScenarioConfig, result):
-    """Surface config of a design, projected when the scenario is phase-only."""
-    config = ris.ris_from_beamformer(result.beamformer, scenario.incident, scenario.geom)
-    return ris.unit_modulus_project(config) if scenario.design.unit_modulus else config
-
-
-def _run_design(scenario: ScenarioConfig):
-    """Cover, equal-gain params, design result, and surface config for a scenario."""
+def _run_design(scenario: ScenarioConfig, cover=None):
+    """Design result, surface config, and what radiates (the surface when it is
+    phase-only, else the feed) for ``cover``, by default the scenario's own."""
     try:
-        cover = cover_set(scenario.spec, scenario.grid, scenario.geom)
-        params, result = _design(scenario, cover)
-        config = _surface(scenario, result)
+        if cover is None:
+            cover = cover_set(scenario.spec, scenario.grid, scenario.geom)
+        params = resolve_eta(scenario, cover)
+        if scenario.design.method == "closed_form":
+            result = design_closed_form(cover, scenario.grid, scenario.geom, params)
+        else:
+            result = design_finite_l(cover, scenario.grid, scenario.geom, params,
+                                     l_v=scenario.design.l_v, l_h=scenario.design.l_h,
+                                     exact_ls=scenario.design.exact_ls)
+        config = ris.ris_from_beamformer(result.beamformer, scenario.incident,
+                                         scenario.geom)
+        if scenario.design.unit_modulus:
+            config = ris.unit_modulus_project(config)
     except (EmptyCoverError, ValueError) as exc:
         raise DesignError(str(exc)) from None
-    return cover, params, result, config
-
-
-def _pattern_source(scenario: ScenarioConfig, result, config):
-    """What radiates in this scenario: the feed itself, or the projected surface."""
-    return config if scenario.design.unit_modulus else result.beamformer
+    return result, config, config if scenario.design.unit_modulus else result.beamformer
 
 
 def _resolution(scenario: ScenarioConfig, args) -> tuple:
@@ -100,7 +90,7 @@ def _out_dir(scenario: ScenarioConfig, args) -> Path:
 
 def cmd_design(args) -> int:
     scenario = load_scenario(args.config)
-    cover, params, result, config = _run_design(scenario)
+    result, config, _ = _run_design(scenario)
     out = _out_dir(scenario, args)
 
     row = _row_format(2, lead="%d,%d,")
@@ -111,13 +101,13 @@ def cmd_design(args) -> int:
     _write_text(out / "ris_coefficients.csv", "\n".join(lines) + "\n")
 
     meta = {
-        "cover_size": cover.size,
-        "cover_cells": [list(c) for c in cover.sorted()],
-        "per_lobe_cell_counts": [len(s) for s in cover.per_lobe],
+        "cover_size": result.cover.size,
+        "cover_cells": [list(c) for c in result.cover.sorted()],
+        "per_lobe_cell_counts": [len(s) for s in result.cover.per_lobe],
         "ideal_gain_level": result.ideal.level_t,
         "ideal_gain_level_db": result.ideal.level_db,
-        "eta_v": params.eta_v,
-        "eta_h": params.eta_h,
+        "eta_v": result.params.eta_v,
+        "eta_h": result.params.eta_h,
         "method": {"name": result.method.name, "l_v": result.method.l_v,
                    "l_h": result.method.l_h, "exact_ls": result.method.exact_ls,
                    "residual": result.method.residual,
@@ -158,8 +148,7 @@ def read_pattern_csv(path) -> PatternGrid:
 def cmd_pattern(args) -> int:
     scenario = load_scenario(args.config)
     r_v, r_h = _resolution(scenario, args)
-    _, _, result, config = _run_design(scenario)
-    source = _pattern_source(scenario, result, config)
+    _, _, source = _run_design(scenario)
     grid_pattern = metrics.sample_pattern(source, r_v, r_h)
     out = _out_dir(scenario, args)
     _write_text(out / "pattern.csv", pattern_csv_text(grid_pattern))
@@ -184,8 +173,7 @@ def cmd_cuts(args) -> int:
         if args.cut else list(scenario.output.cuts)
     if not cut_specs:
         raise ConfigError("no cuts given: add output.cuts to the config or pass --cut")
-    _, _, result, config = _run_design(scenario)
-    source = _pattern_source(scenario, result, config)
+    _, _, source = _run_design(scenario)
     out = _out_dir(scenario, args)
 
     row = _row_format(2)
@@ -217,18 +205,13 @@ def cmd_compare(args) -> int:
     scenario = load_scenario(args.config)
     if len(scenario.spec.lobes) < 2:
         raise DesignError("comparison needs at least 2 lobes")
-    cover, params, result, config = _run_design(scenario)
+    result, _, multi = _run_design(scenario)
+    cover = result.cover
     single_cover = metrics.bounding_rectangle_cover(cover, scenario.grid)
-    try:
-        _, single = _design(scenario, single_cover)
-        single_config = _surface(scenario, single)
-    except (EmptyCoverError, ValueError) as exc:
-        raise DesignError(str(exc)) from None
+    _, _, single = _run_design(scenario, single_cover)
     resolution = max(_resolution(scenario, args))
-    rep_multi = metrics.report(_pattern_source(scenario, result, config), cover,
-                               scenario.grid, resolution=resolution)
-    rep_single = metrics.report(_pattern_source(scenario, single, single_config),
-                                cover, scenario.grid, resolution=resolution)
+    rep_multi = metrics.report(multi, cover, scenario.grid, resolution=resolution)
+    rep_single = metrics.report(single, cover, scenario.grid, resolution=resolution)
     payload = {
         "multi_mean_db": rep_multi.mean_in_db,
         "single_mean_db": rep_single.mean_in_db,
@@ -268,13 +251,19 @@ def _lobe_centers(scenario: ScenarioConfig):
 
 def cmd_link(args) -> int:
     scenario = load_scenario(args.config)
-    if args.tx_power <= 0 or args.noise_var <= 0:
-        raise ConfigError("--tx-power and --noise-var must be > 0")
+    for flag, value, positive in (("--tx-power", args.tx_power, True),
+                                  ("--noise-var", args.noise_var, True),
+                                  ("--rho-t", args.rho_t, False),
+                                  ("--rho-r", args.rho_r, False)):
+        # The SNR is a log: powers must be positive and path gains nonzero.
+        if not math.isfinite(value) or value == 0 or (positive and value < 0):
+            raise ConfigError(f"{flag} must be finite and "
+                              f"{'> 0' if positive else 'nonzero'}, got {value}")
     if args.m_t < 1 or args.m_r < 1:
         raise ConfigError("--m-t and --m-r must be >= 1")
     targets = [_parse_omega(t, "--omega-2") for t in args.omega_2] \
         if args.omega_2 else _lobe_centers(scenario)
-    _, _, result, config = _run_design(scenario)
+    _, config, _ = _run_design(scenario)
 
     # The channel is rank one, rho_r*rho_t*gamma*a_r*a_t^H, so one reflection
     # gives the norm and SNR that ris.cascaded_channel and ris.received_snr do.

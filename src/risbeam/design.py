@@ -18,28 +18,16 @@ irrelevant to the gain shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .arrays import Beamformer, steering
-from .geometry import ArrayGeometry, CoverSet, EmptyCoverError, PsiGrid
-from . import metrics
+from .geometry import (ArrayGeometry, CoverSet, EmptyCoverError, GridAxis, IdealGain,
+                       PsiGrid, cover_mask, ideal_gain_level)
+from . import metrics, ris
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class IdealGain:
-    """Flat target level t spread over the covered subregions."""
-
-    level_t: float
-    cover: CoverSet
-    grid: PsiGrid
-
-    @property
-    def level_db(self) -> float:
-        return 10.0 * math.log10(self.level_t)
 
 
 @dataclass(frozen=True)
@@ -75,33 +63,11 @@ class DesignResult:
     method: MethodInfo
 
 
-def ideal_gain_level(cover: CoverSet, grid: PsiGrid) -> IdealGain:
-    """Target level t = (2*pi)^2 / (|A| * delta_v * delta_h).
-
-    Spreading t over the cover area accounts for exactly the full-period
-    gain integral of a unit-norm beamformer.
-    """
-    if cover.size == 0:
-        raise EmptyCoverError("cover set is empty")
-    t = TWO_PI ** 2 / (cover.size * grid.delta_v * grid.delta_h)
-    return IdealGain(level_t=t, cover=cover, grid=grid)
-
-
 def approx_ls_scale(l_total: int, q_total: int, delta_v: float, delta_h: float,
                     cover_size: int) -> float:
     """Scalar replacing the normal-matrix inverse in the approximate solve."""
     return TWO_PI / (l_total * q_total *
                      math.sqrt(delta_v * delta_h * cover_size))
-
-
-def cover_mask(cover: CoverSet, grid: PsiGrid) -> np.ndarray:
-    """Q_v x Q_h 0/1 matrix with a 1 at (p-1, q-1) for each covered subregion (p, q)."""
-    if cover.size == 0:
-        raise EmptyCoverError("cover set is empty")
-    mask = np.zeros((grid.q_v, grid.q_h))
-    cells = np.array(list(cover.indices)) - 1
-    mask[cells[:, 0], cells[:, 1]] = 1.0
-    return mask
 
 
 def cover_sum(cover: CoverSet, grid: PsiGrid, a_v: np.ndarray,
@@ -113,12 +79,9 @@ def cover_sum(cover: CoverSet, grid: PsiGrid, a_v: np.ndarray,
     With E_a[m, p] = exp(j*m*edge_a(p-1)) the sum is
     (diag(a_v) E_v) . Mask . (diag(a_h) E_h)^T, shape (len(a_v), len(a_h)).
     """
-    def axis(a, bound, delta, count):
-        return a[:, None] * steering(a.size, -bound + delta * np.arange(count))
-
-    return (axis(a_v, grid.xi_bound, grid.delta_v, grid.q_v)
-            @ cover_mask(cover, grid)
-            @ axis(a_h, grid.zeta_bound, grid.delta_h, grid.q_h).T)
+    e_v, e_h = (a[:, None] * steering(a.size, axis.edges[:-1])
+                for a, axis in zip((a_v, a_h), grid.axes))
+    return e_v @ cover_mask(cover, grid) @ e_h.T
 
 
 def _sinc_factor(delta: float, count: int, eta: float) -> np.ndarray:
@@ -161,16 +124,15 @@ REFINE_BAND_DB = 2.0       # peak-to-peak gain band the field step allows
 REFINE_ITERATIONS = 400
 
 
-def _axis_cell_masks(n: int, bound: float, delta: float, count: int,
-                     margin: float) -> np.ndarray:
+def _axis_cell_masks(n: int, axis: GridAxis, margin: float) -> np.ndarray:
     """(n, count) mask: FFT sample k of the period lies in cell i widened by margin.
 
     Sample k sits at 2*pi*k/n, so membership is tested modulo 2*pi; cells
     are half-open like the subregions of metrics.report.
     """
     x = TWO_PI * np.arange(n) / n
-    lo = -bound + delta * np.arange(count) - margin
-    return np.mod(x[:, None] - lo[None, :], TWO_PI) < delta + 2.0 * margin
+    lo = axis.edges[:-1] - margin
+    return np.mod(x[:, None] - lo[None, :], TWO_PI) < axis.delta + 2.0 * margin
 
 
 def fft_cover_masks(cover: CoverSet, grid: PsiGrid, m_v: int, m_h: int):
@@ -181,12 +143,11 @@ def fft_cover_masks(cover: CoverSet, grid: PsiGrid, m_v: int, m_h: int):
     axis; both masks are the cover-mask matrix product E_v . Mask . E_h^T.
     """
     mask = cover_mask(cover, grid)
+    axis_v, axis_h = grid.axes
 
     def masks(margin_v, margin_h):
-        e_v = _axis_cell_masks(REFINE_OVERSAMPLE * m_v, grid.xi_bound,
-                               grid.delta_v, grid.q_v, margin_v)
-        e_h = _axis_cell_masks(REFINE_OVERSAMPLE * m_h, grid.zeta_bound,
-                               grid.delta_h, grid.q_h, margin_h)
+        e_v = _axis_cell_masks(REFINE_OVERSAMPLE * m_v, axis_v, margin_v)
+        e_h = _axis_cell_masks(REFINE_OVERSAMPLE * m_h, axis_h, margin_h)
         return (e_v @ mask @ e_h.T) > 0.0
 
     return (masks(0.0, 0.0),
@@ -246,11 +207,31 @@ def design_refined(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry,
         params=params, method=MethodInfo(name="refined"))
 
 
-def _axis_sample_points(bound: float, delta: float, q_count: int, l_count: int) -> np.ndarray:
+def unit_modulus_fallback(config: ris.RisConfig, cover: CoverSet,
+                          grid: PsiGrid) -> ris.RisConfig:
+    """Phase-only coefficients whose pattern tracks the amplitude-controlled one.
+
+    Keeping the phases of ``config`` (ris.unit_modulus_project) breaks a
+    multi-lobe plateau into fragments.  This starts there and runs
+    refine_pattern with a unit-modulus aperture step: the pattern is
+    pulled toward the magnitude of ``config``'s own pattern over the
+    cover and its guard band, and zeroed beyond.  Every amplitude is
+    exactly 1; ``config`` is not modified.
+    """
+    wave = ris.incident_wave(config.incident, config.geom)
+    _, support = fft_cover_masks(cover, grid, *wave.shape)
+    target = np.abs(np.fft.fft2(ris.element_coefficients(config) * wave, s=support.shape))
+    start = ris.element_coefficients(ris.unit_modulus_project(config)) * wave
+    weights = refine_pattern(start, target, support, support, unit_modulus=True)
+    coeff = weights * wave.conj()
+    return replace(config, betas=np.ones_like(config.betas),
+                   thetas=np.mod(np.angle(coeff), TWO_PI))
+
+
+def _axis_sample_points(axis: GridAxis, l_count: int) -> np.ndarray:
     """All per-axis sample coordinates, cells concatenated in order."""
-    edges = -bound + delta * np.arange(q_count)
-    offsets = delta * np.arange(1, l_count + 1) / l_count
-    return (edges[:, None] + offsets[None, :]).ravel()
+    offsets = axis.delta * np.arange(1, l_count + 1) / l_count
+    return (axis.edges[:-1, None] + offsets[None, :]).ravel()
 
 
 def _axis_normal_matrix(samples: np.ndarray, m_count: int) -> np.ndarray:
@@ -260,10 +241,9 @@ def _axis_normal_matrix(samples: np.ndarray, m_count: int) -> np.ndarray:
 
 def _normal_matrices(grid: PsiGrid, geom: ArrayGeometry, l_v: int, l_h: int):
     """Per-axis factors G_v, G_h of the normal matrix D D^H = G_v (x) G_h."""
-    points_v = _axis_sample_points(grid.xi_bound, grid.delta_v, grid.q_v, l_v)
-    points_h = _axis_sample_points(grid.zeta_bound, grid.delta_h, grid.q_h, l_h)
-    return (_axis_normal_matrix(points_v, geom.m_v),
-            _axis_normal_matrix(points_h, geom.m_h))
+    axis_v, axis_h = grid.axes
+    return (_axis_normal_matrix(_axis_sample_points(axis_v, l_v), geom.m_v),
+            _axis_normal_matrix(_axis_sample_points(axis_h, l_h), geom.m_h))
 
 
 EIG_CUTOFF = 0.1
@@ -395,42 +375,38 @@ def _eta_scores(cover: CoverSet, grid: PsiGrid, geom: ArrayGeometry, etas_v,
                 etas_h) -> np.ndarray:
     """Interior ripple plus 10x leakage of the closed form for every ramp pair.
 
-    Each score is the one metrics.report gives the normalized closed form
-    sampled at ETA_RESOLUTION per axis.  That field is P_v . Mask . P_h^T
-    with P_a(eta) = S_a^T diag(f_a(eta)) E_a, S_a the sample steering and
-    f_a the sinc factors of closed_form_vector, so each axis factor is
-    built once per eta and each pair costs one product through Mask.  The
-    closed form's own norm scales the gains, so the dB floor applies as
-    it does to the normalized pattern.  Returns (len(etas_v), len(etas_h)).
+    Each score is metrics.ripple_leakage of the normalized closed form
+    sampled at ETA_RESOLUTION per axis, as in metrics.report.  That field
+    is P_v . Mask . P_h^T with P_a(eta) = S_a^T diag(f_a(eta)) E_a, S_a the
+    sample steering and f_a the sinc factors of closed_form_vector, so each
+    axis factor is built once per eta and each pair costs one product
+    through Mask.  Scaling by the closed form's own norm makes the dB floor
+    apply as it does to the normalized pattern.  Returns
+    (len(etas_v), len(etas_h)).
     """
     samples = np.linspace(-math.pi, math.pi, ETA_RESOLUTION)
     in_mask, interior = metrics._cover_masks(samples, samples, cover, grid,
                                              metrics.INTERIOR_SHRINK)
-    if not interior.any():
-        interior = in_mask
     mask = cover_mask(cover, grid)
 
-    def axis_factors(m_count, bound, delta, q_count, etas):
-        cells = steering(m_count, -bound + delta * np.arange(q_count))
+    def axis_factors(m_count, axis, etas):
+        cells = steering(m_count, axis.edges[:-1])
         sampled = steering(m_count, -samples).T
-        return [sampled @ (_sinc_factor(delta, m_count, eta)[:, None] * cells)
+        return [sampled @ (_sinc_factor(axis.delta, m_count, eta)[:, None] * cells)
                 for eta in etas]
 
-    p_v = [p @ mask for p in axis_factors(geom.m_v, grid.xi_bound, grid.delta_v,
-                                          grid.q_v, etas_v)]
-    p_h = axis_factors(geom.m_h, grid.zeta_bound, grid.delta_h, grid.q_h, etas_h)
+    axis_v, axis_h = grid.axes
+    p_v = [p @ mask for p in axis_factors(geom.m_v, axis_v, etas_v)]
+    p_h = axis_factors(geom.m_h, axis_h, etas_h)
     scores = np.empty((len(etas_v), len(etas_h)))
     for i, eta_v in enumerate(etas_v):
         for j, eta_h in enumerate(etas_h):
             vec = closed_form_vector(cover, grid, geom, EqualGainParams(eta_v, eta_h))
             scale = (TWO_PI / grid.q) ** 2 / np.vdot(vec, vec).real
             field = p_v[i] @ p_h[j].T
-            power = field.real ** 2 + field.imag ** 2
-            core = power[interior]
-            leakage = 1.0 - float(power[in_mask].sum()) / float(power.sum())
-            scores[i, j] = (metrics.to_db(float(core.max()) * scale)
-                            - metrics.to_db(float(core.min()) * scale)
-                            + 10.0 * leakage)
+            ripple, leakage = metrics.ripple_leakage(
+                field.real ** 2 + field.imag ** 2, in_mask, interior, scale)
+            scores[i, j] = ripple + 10.0 * leakage
     return scores
 
 

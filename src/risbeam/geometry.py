@@ -163,11 +163,28 @@ class MultiBeamSpec:
 
 
 @dataclass(frozen=True)
+class GridAxis:
+    """One axis of a PsiGrid: ``count`` cells of width ``delta`` over [-bound, bound)."""
+
+    bound: float
+    delta: float
+    count: int
+
+    def edge(self, i):
+        """Edge i, a scalar or an index array; 1-based cell i is [edge(i-1), edge(i))."""
+        return -self.bound + i * self.delta
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.edge(np.arange(self.count + 1))
+
+
+@dataclass(frozen=True)
 class PsiGrid:
     """Uniform partition of the coverage rectangle into q_v x q_h subregions.
 
     Subregion (p, q), 1-based, is the half-open cell
-    [xi_edges[p-1], xi_edges[p]) x [zeta_edges[q-1], zeta_edges[q]).
+    [xi_edge(p-1), xi_edge(p)) x [zeta_edge(q-1), zeta_edge(q)).
     """
 
     xi_bound: float
@@ -189,11 +206,17 @@ class PsiGrid:
     def q(self) -> int:
         return self.q_v * self.q_h
 
+    @property
+    def axes(self) -> tuple:
+        """The (xi, zeta) axes: rows p and columns q of the subregions."""
+        return (GridAxis(self.xi_bound, self.delta_v, self.q_v),
+                GridAxis(self.zeta_bound, self.delta_h, self.q_h))
+
     def xi_edge(self, p: int) -> float:
-        return -self.xi_bound + p * self.delta_v
+        return self.axes[0].edge(p)
 
     def zeta_edge(self, q: int) -> float:
-        return -self.zeta_bound + q * self.delta_h
+        return self.axes[1].edge(q)
 
     def cell(self, p: int, q: int) -> PsiRect:
         """Closed bounding rectangle of subregion (p, q)."""
@@ -221,6 +244,41 @@ class CoverSet:
 
     def sorted(self) -> list:
         return sorted(self.indices)
+
+
+@dataclass(frozen=True)
+class IdealGain:
+    """Flat target level t spread over the covered subregions."""
+
+    level_t: float
+    cover: CoverSet
+    grid: PsiGrid
+
+    @property
+    def level_db(self) -> float:
+        return 10.0 * math.log10(self.level_t)
+
+
+def ideal_gain_level(cover: CoverSet, grid: PsiGrid) -> IdealGain:
+    """Target level t = (2*pi)^2 / (|A| * delta_v * delta_h).
+
+    Spreading t over the cover area accounts for exactly the full-period
+    gain integral of a unit-norm beamformer.
+    """
+    if cover.size == 0:
+        raise EmptyCoverError("cover set is empty")
+    t = TWO_PI ** 2 / (cover.size * grid.delta_v * grid.delta_h)
+    return IdealGain(level_t=t, cover=cover, grid=grid)
+
+
+def cover_mask(cover: CoverSet, grid: PsiGrid) -> np.ndarray:
+    """Q_v x Q_h 0/1 matrix with a 1 at (p-1, q-1) for each covered subregion (p, q)."""
+    if cover.size == 0:
+        raise EmptyCoverError("cover set is empty")
+    mask = np.zeros((grid.q_v, grid.q_h))
+    cells = np.array(list(cover.indices)) - 1
+    mask[cells[:, 0], cells[:, 1]] = 1.0
+    return mask
 
 
 def to_psi(angle: SolidAngle, geom: ArrayGeometry) -> PsiPoint:
@@ -312,11 +370,10 @@ def lobe_psi_rects(lobe: Lobe, geom: ArrayGeometry) -> list:
     return out
 
 
-def _axis_hits(lo: float, hi: float, bound: float, delta: float, count: int) -> list:
+def _axis_hits(lo: float, hi: float, axis: GridAxis) -> list:
     """1-based cells i of one axis whose extent [edge(i-1), edge(i)] overlaps
-    [lo, hi] with positive length: min(hi, edge(i)) - max(lo, edge(i-1)) > 0,
-    with edge(i) = -bound + i*delta as in PsiGrid.xi_edge and zeta_edge."""
-    edges = -bound + np.arange(count + 1) * delta
+    [lo, hi] with positive length: min(hi, edge(i)) - max(lo, edge(i-1)) > 0."""
+    edges = axis.edges
     overlap = np.minimum(hi, edges[1:]) - np.maximum(lo, edges[:-1])
     return (np.flatnonzero(overlap > 0.0) + 1).tolist()
 
@@ -339,10 +396,9 @@ def cover_set(spec: MultiBeamSpec, grid: PsiGrid, geom: ArrayGeometry) -> CoverS
             clipped_any = True
             # A cell meets the rectangle with positive area exactly when its
             # row and its column each overlap it with positive length.
-            rows = _axis_hits(clipped.xi_min, clipped.xi_max, grid.xi_bound,
-                              grid.delta_v, grid.q_v)
-            cols = _axis_hits(clipped.zeta_min, clipped.zeta_max, grid.zeta_bound,
-                              grid.delta_h, grid.q_h)
+            axis_v, axis_h = grid.axes
+            rows = _axis_hits(clipped.xi_min, clipped.xi_max, axis_v)
+            cols = _axis_hits(clipped.zeta_min, clipped.zeta_max, axis_h)
             cells.update(itertools.product(rows, cols))
         if not clipped_any or not cells:
             raise EmptyCoverError(

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import Beamformer, PatternGrid, gains_along, sample_gains
-from .geometry import ArrayGeometry, CoverSet, EmptyCoverError, PsiGrid
-from . import design, ris
+from .geometry import (ArrayGeometry, CoverSet, EmptyCoverError, GridAxis, PsiGrid,
+                       cover_mask, ideal_gain_level)
+from . import ris
 
 DB_FLOOR = -120.0
 _FLOOR_LIN = 10.0 ** (DB_FLOOR / 10.0)
@@ -74,13 +75,12 @@ class CutProfile:
     widths: dict
 
 
-def _axis_membership(samples: np.ndarray, bound: float, delta: float, count: int,
-                     shrink: float) -> np.ndarray:
+def _axis_membership(samples: np.ndarray, axis: GridAxis, shrink: float) -> np.ndarray:
     """(samples, count) 0/1 matrix: sample k lies in half-open cell i shrunk by
     ``shrink`` of its width on each side.  Unlike the FFT grid of the
     refinement, the sampled period is not wrapped: +pi lies beyond every cell.
     """
-    edges = -bound + delta * np.arange(count + 1)
+    edges = axis.edges
     lo, hi = edges[:-1], edges[1:]
     margin = shrink * (hi - lo)
     inside = (samples[:, None] >= lo + margin) & (samples[:, None] < hi - margin)
@@ -91,19 +91,28 @@ def _cover_masks(xi_samples: np.ndarray, zeta_samples: np.ndarray, cover: CoverS
                  grid: PsiGrid, interior_shrink: float):
     """Samples inside the cover, and inside its subregions shrunk per axis
     by ``interior_shrink`` of their width on each side."""
-    mask = design.cover_mask(cover, grid)
+    mask = cover_mask(cover, grid)
 
     def masks(shrink):
-        in_v = _axis_membership(xi_samples, grid.xi_bound, grid.delta_v, grid.q_v,
-                                shrink)
-        in_h = _axis_membership(zeta_samples, grid.zeta_bound, grid.delta_h,
-                                grid.q_h, shrink)
+        in_v, in_h = (_axis_membership(samples, axis, shrink)
+                      for samples, axis in zip((xi_samples, zeta_samples), grid.axes))
         return (in_v @ mask @ in_h.T) > 0.0
 
     in_mask = masks(0.0)
     if not in_mask.any():
         raise ValueError("sampling too coarse: no samples fall inside the cover")
     return in_mask, masks(interior_shrink)
+
+
+def ripple_leakage(gains: np.ndarray, in_mask: np.ndarray, interior: np.ndarray,
+                   scale: float = 1.0) -> tuple:
+    """Ripple in dB over the interior, or over the cover when the interior holds no
+    sample, of the gains times ``scale``; and the sampled power's share outside."""
+    core = gains[interior] if interior.any() else gains[in_mask]
+    total = float(gains.sum())
+    leakage = 1.0 - float(gains[in_mask].sum()) / total if total > 0 else 1.0
+    return (to_db(float(core.max()) * scale) - to_db(float(core.min()) * scale),
+            leakage)
 
 
 def report_from_pattern(grid_pattern: PatternGrid, cover: CoverSet,
@@ -118,19 +127,16 @@ def report_from_pattern(grid_pattern: PatternGrid, cover: CoverSet,
         raise EmptyCoverError("cover set is empty")
     in_mask, interior = _cover_masks(grid_pattern.xi_samples, grid_pattern.zeta_samples,
                                      cover, grid, INTERIOR_SHRINK)
-    gains = grid_pattern.gains
-    in_gain = gains[in_mask]
-    interior_gain = gains[interior] if np.any(interior) else in_gain
-    total = float(gains.sum())
-    leakage = 1.0 - float(in_gain.sum()) / total if total > 0 else 1.0
+    in_gain = grid_pattern.gains[in_mask]
+    ripple, leakage = ripple_leakage(grid_pattern.gains, in_mask, interior)
     return PatternReport(
         mean_in_db=to_db(float(in_gain.mean())),
         median_in_db=to_db(float(np.median(in_gain))),
         min_in_db=to_db(float(in_gain.min())),
         max_in_db=to_db(float(in_gain.max())),
-        ripple_db=to_db(float(interior_gain.max())) - to_db(float(interior_gain.min())),
+        ripple_db=ripple,
         leakage_fraction=leakage,
-        ideal_level_db=design.ideal_gain_level(cover, grid).level_db,
+        ideal_level_db=ideal_gain_level(cover, grid).level_db,
         cover=cover)
 
 

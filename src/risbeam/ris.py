@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arrays import Beamformer, directivity, directivity_axis
-from .geometry import ArrayGeometry, CoverSet, PsiGrid, SolidAngle, to_psi
-from . import design
+from .geometry import ArrayGeometry, SolidAngle, to_psi
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,7 +55,7 @@ class LinkScene:
             raise ValueError("antenna counts must be >= 1")
 
 
-def _incident_wave(omega_1: SolidAngle, geom: ArrayGeometry) -> np.ndarray:
+def incident_wave(omega_1: SolidAngle, geom: ArrayGeometry) -> np.ndarray:
     """Incident wave exp(j*(m_v*xi_1 + m_h*zeta_1)) at each element, (m_v, m_h)."""
     psi1 = to_psi(omega_1, geom)
     return np.exp(1j * np.add.outer(psi1.xi * np.arange(geom.m_v),
@@ -76,7 +75,7 @@ def ris_from_beamformer(c: Beamformer, omega_1: SolidAngle,
     if peak == 0.0:
         raise ValueError("zero beamformer")
     scaled = c.as_grid() / peak
-    coeff = scaled * _incident_wave(omega_1, geom).conj()
+    coeff = scaled * incident_wave(omega_1, geom).conj()
     return RisConfig(betas=np.abs(coeff),
                      thetas=np.mod(np.angle(coeff), TWO_PI),
                      incident=omega_1, geom=geom)
@@ -85,28 +84,6 @@ def ris_from_beamformer(c: Beamformer, omega_1: SolidAngle,
 def unit_modulus_project(config: RisConfig) -> RisConfig:
     """Drop amplitude control: every element reflects fully, phases kept."""
     return replace(config, betas=np.ones_like(config.betas))
-
-
-def unit_modulus_fallback(config: RisConfig, cover: CoverSet,
-                          grid: PsiGrid) -> RisConfig:
-    """Phase-only coefficients whose pattern tracks the amplitude-controlled one.
-
-    Keeping the phases of ``config`` (unit_modulus_project) breaks a
-    multi-lobe plateau into fragments.  This starts there and runs
-    design.refine_pattern with a unit-modulus aperture step: the pattern
-    is pulled toward the magnitude of ``config``'s own pattern over the
-    cover and its guard band, and zeroed beyond.  Every amplitude is
-    exactly 1; ``config`` is not modified.
-    """
-    wave = _incident_wave(config.incident, config.geom)
-    _, support = design.fft_cover_masks(cover, grid, config.geom.m_v, config.geom.m_h)
-    target = np.abs(np.fft.fft2(element_coefficients(config) * wave, s=support.shape))
-    start = element_coefficients(unit_modulus_project(config)) * wave
-    weights = design.refine_pattern(start, target, support, support,
-                                    unit_modulus=True)
-    coeff = weights * wave.conj()
-    return replace(config, betas=np.ones_like(config.betas),
-                   thetas=np.mod(np.angle(coeff), TWO_PI))
 
 
 def element_coefficients(config: RisConfig) -> np.ndarray:
@@ -121,14 +98,14 @@ def effective_weight_vector(config: RisConfig) -> np.ndarray:
     so the reflected amplitude toward psi_2 is d(psi_2)^H of this vector.
     """
     return (element_coefficients(config)
-            * _incident_wave(config.incident, config.geom)).ravel()
+            * incident_wave(config.incident, config.geom)).ravel()
 
 
 def reflection_coefficient(config: RisConfig, omega_1: SolidAngle,
                            omega_2: SolidAngle) -> complex:
     """Scalar cascade contribution a^H(omega_2) diag(coeffs) a(omega_1)."""
     geom = config.geom
-    weights = element_coefficients(config) * _incident_wave(omega_1, geom)
+    weights = element_coefficients(config) * incident_wave(omega_1, geom)
     return complex(np.vdot(directivity(geom, to_psi(omega_2, geom)), weights))
 
 

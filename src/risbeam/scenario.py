@@ -28,10 +28,21 @@ _PI_FORM = re.compile(
     r"pi\s*(?:/\s*(?P<postden>\d+(?:\.\d+)?))?\s*$", re.IGNORECASE)
 
 
+def _finite(value, where: str) -> float:
+    """``value`` as a float, which must be finite."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
 def parse_angle(value, where: str = "angle") -> float:
-    """Radians from a number or a 'a/b pi' style string."""
+    """Finite radians from a number or a 'a/b pi' style string."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _finite(value, where)
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected number or string, got {type(value).__name__}")
     text = value.replace("−", "-").strip()
@@ -44,11 +55,12 @@ def parse_angle(value, where: str = "angle") -> float:
         if den == 0:
             raise ConfigError(f"{where}: zero denominator in {value!r}")
         sign = -1.0 if m.group("sign") == "-" else 1.0
-        return sign * num / den * math.pi
+        return _finite(sign * num / den * math.pi, where)
     try:
-        return float(text)
+        radians = float(text)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse angle {value!r}") from None
+    return _finite(radians, where)
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,8 @@ class ScenarioConfig:
 def _get(section: dict, key: str, default, where: str):
     """``section[key]``, or ``default`` when absent, of the default's JSON type.
 
-    A JSON boolean is not a number here, although Python's bool is an int.
+    A JSON boolean is not a number here, although Python's bool is an int,
+    and a number must be finite: JSON's NaN and Infinity are rejected.
     """
     value = section.get(key, default)
     kind, types = {bool: ("boolean", bool), int: ("integer", int),
@@ -93,7 +106,7 @@ def _get(section: dict, key: str, default, where: str):
     if (not isinstance(value, types)
             or isinstance(value, bool) != isinstance(default, bool)):
         raise ConfigError(f"{where}.{key}: expected {kind}")
-    return float(value) if kind == "number" else value
+    return _finite(value, f"{where}.{key}") if kind == "number" else value
 
 
 def _get_count(section: dict, key: str, default: int, where: str) -> int:

@@ -269,7 +269,7 @@ def test_link_report_agrees_with_channel_and_snr(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads((tmp_path / "link_report.json").read_text())
     scenario = load_scenario(config_path)
-    _, _, _, surface = _run_design(scenario)
+    _, surface, _ = _run_design(scenario)
     assert len(payload["directions"]) == 2
     # The scene's tx and rx angles are arbitrary: the report, which takes
     # none, still matches the channel, so it does not depend on them.
@@ -327,6 +327,19 @@ def test_every_link_flag_changes_the_report(tmp_path):
     base = report("base")
     for flag, value in LINK_FLAG_CHANGES.items():
         assert report(flag.strip("-"), flag, value) != base, f"{flag} is dead"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tx-power", "nan"), ("--tx-power", "inf"), ("--tx-power", "0"),
+    ("--noise-var", "inf"), ("--noise-var", "-1"),
+    ("--rho-t", "nan"), ("--rho-t", "0"), ("--rho-r", "inf"), ("--rho-r", "-0"),
+])
+def test_link_rejects_bad_float_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert cli_main(["link", "--config", str(CONFIGS / "single_subregion.json"),
+                     "--out", str(out), f"{flag}={value}"]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_link_rejects_bad_angles(tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import risbeam as rb
 from risbeam.design import (REFINE_GUARD, REFINE_OVERSAMPLE, _axis_normal_matrix,
                             _axis_sample_points, approx_ls_scale, closed_form_vector,
-                            cover_mask, cover_sum, fft_cover_masks)
-from risbeam.geometry import CoverSet, EmptyCoverError
+                            cover_sum, fft_cover_masks)
+from risbeam.geometry import CoverSet, EmptyCoverError, cover_mask
 from risbeam.scenario import load_scenario
 
 TWO_PI = 2 * math.pi
@@ -307,10 +307,9 @@ def test_dd_h_deviation_partial_period_positive(ref_grid):
 
 def _kron_dd_h_deviation(grid, geom, l_v, l_h):
     """The deviation from the full M x M matrix G_v (x) G_h - L*Q*I."""
-    g_v = _axis_normal_matrix(
-        _axis_sample_points(grid.xi_bound, grid.delta_v, grid.q_v, l_v), geom.m_v)
-    g_h = _axis_normal_matrix(
-        _axis_sample_points(grid.zeta_bound, grid.delta_h, grid.q_h, l_h), geom.m_h)
+    axis_v, axis_h = grid.axes
+    g_v = _axis_normal_matrix(_axis_sample_points(axis_v, l_v), geom.m_v)
+    g_h = _axis_normal_matrix(_axis_sample_points(axis_h, l_h), geom.m_h)
     lq = l_v * l_h * grid.q
     full = np.kron(g_v, g_h) - lq * np.eye(geom.m)
     return float(np.linalg.norm(full) / (lq * math.sqrt(geom.m)))

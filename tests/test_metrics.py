@@ -362,3 +362,27 @@ def test_cover_masks_match_per_cell_loop_on_edges(interior_shrink):
                        for q in range(8)], zeta) == 8
     assert on_samples([grid.xi_edge(p) - interior_shrink * grid.delta_v
                        for p in range(1, 7)], xi) == 6
+
+
+def test_empty_interior_scores_every_cover_sample():
+    # 255 sample steps span the period, so cells one step wide whose edges
+    # sit on the samples put every in-cover sample on an edge, inside the
+    # shrink margins: the interior holds none, and both the report and the
+    # eta objective fall back to all in-cover samples.
+    from risbeam.design import ETA_RESOLUTION
+    from risbeam.metrics import INTERIOR_SHRINK, _cover_masks
+    bound = 7.5 * TWO_PI / (ETA_RESOLUTION - 1)
+    grid = rb.make_grid(15, 15, bound, bound)
+    cells = frozenset((p, q) for p in range(6, 10) for q in range(5, 9))
+    cover = CoverSet(indices=cells, per_lobe=(cells,))
+    geom = rb.ArrayGeometry(8, 8)
+    params = rb.EqualGainParams()
+    pat = rb.sample_pattern(rb.design_closed_form(cover, grid, geom, params).beamformer,
+                            ETA_RESOLUTION)
+    in_mask, interior = _cover_masks(pat.xi_samples, pat.zeta_samples, cover, grid,
+                                     INTERIOR_SHRINK)
+    assert in_mask.sum() >= 4 and not interior.any()
+    rep = rb.report_from_pattern(pat, cover, grid)
+    assert rep.ripple_db == rep.max_in_db - rep.min_in_db > 0.0
+    assert rb.eta_objective(cover, grid, geom, params) == pytest.approx(
+        rep.ripple_db + 10.0 * rep.leakage_fraction, rel=0.0, abs=1e-9)

@@ -87,6 +87,21 @@ LOADER_GAPS = [
     ({"design": {"eta": {"search_resolution": 0}}}, "design.eta.search_resolution"),
 ]
 
+# Non-finite numbers (JSON's NaN/Infinity, "nan"/"inf" angles, an int beyond any
+# float), which the design stage used to report (exit 3) or crash on (exit 1).
+NON_FINITE = [
+    ({"grid": {"xi_bound": "inf"}}, "grid.xi_bound"),
+    ({"grid": {"xi_bound": math.nan}}, "grid.xi_bound"),
+    ({"grid": {"phi_bound": "nan"}}, "grid.phi_bound"),
+    ({"lobes": [{**LOBE, "width": "inf"}]}, "lobes[0].width"),
+    ({"lobes": [{**LOBE, "phi": math.nan}]}, "lobes[0].phi"),
+    ({"design": {"eta": {"eta_v": "nan", "eta_h": 0}}}, "design.eta.eta_v"),
+    ({"array": {"d_x_over_lambda": math.nan}}, "array.d_x_over_lambda"),
+    ({"array": {"d_x_over_lambda": math.inf}}, "array.d_x_over_lambda"),
+    ({"array": {"d_z_over_lambda": 10 ** 400}}, "array.d_z_over_lambda"),
+    ({"incident": {"phi": math.inf}}, "incident.phi"),
+]
+
 
 @pytest.mark.parametrize("raw,fragment", [
     ({"lobes": []}, "lobes"),
@@ -111,13 +126,13 @@ LOADER_GAPS = [
     ({"design": {"eta": {"search_resolution": True}}}, "design.eta.search_resolution"),
     ({"lobes": [{**LOBE, "width": False}]}, "lobes[0].width"),
     ({"output": {"dir": None}}, "output.dir"),
-]])
+] + NON_FINITE])
 def test_config_errors_name_the_field(raw, fragment):
     with pytest.raises(ConfigError, match=fragment.replace("[", "\\[")):
         build_scenario(raw)
 
 
-@pytest.mark.parametrize("raw,fragment", LOADER_GAPS)
+@pytest.mark.parametrize("raw,fragment", LOADER_GAPS + NON_FINITE)
 def test_loader_errors_exit_2(tmp_path, monkeypatch, capsys, raw, fragment):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"lobes": [LOBE], **raw}), encoding="utf-8")

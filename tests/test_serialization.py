@@ -226,7 +226,7 @@ def test_design_and_cut_tables_match_scalar_reference(command, tmp_path):
                  / "configs" / "paper_dual_beam.json")
     assert cli.main([command, "--config", config, "--out", str(tmp_path)]) == 0
     scenario = load_scenario(config)
-    _, _, result, surface = cli._run_design(scenario)
+    result, surface, _ = cli._run_design(scenario)
     if command == "design":
         lines = ["m_v,m_h,beta,theta_radians"]
         for m_v in range(scenario.geom.m_v):
