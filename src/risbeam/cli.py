@@ -93,11 +93,16 @@ def cmd_design(args) -> int:
     result, config, _ = _run_design(scenario)
     out = _out_dir(scenario, args)
 
-    row = _row_format(2, lead="%d,%d,")
+    # One % call per aperture row: m_h is in the template, and the arguments
+    # interleave m_v, beta and theta.
+    m_h = scenario.geom.m_h
+    row = "\n".join(_row_format(2, lead=f"%d,{k},") for k in range(m_h))
     lines = ["m_v,m_h,beta,theta_radians"]
     for m_v in range(scenario.geom.m_v):
-        lines += [row % (m_v, m_h, beta, theta) for m_h, (beta, theta) in enumerate(
-            zip(config.betas[m_v].tolist(), config.thetas[m_v].tolist()))]
+        args = [m_v, None, None] * m_h
+        args[1::3] = config.betas[m_v].tolist()
+        args[2::3] = config.thetas[m_v].tolist()
+        lines.append(row % tuple(args))
     _write_text(out / "ris_coefficients.csv", "\n".join(lines) + "\n")
 
     meta = {
@@ -127,12 +132,17 @@ def pattern_csv_text(grid_pattern: PatternGrid) -> str:
     zeta = grid_pattern.zeta_samples.tolist()
     row = _row_format(len(zeta) + 1)
     lines = [_row_format(len(zeta), lead="xi_zeta,") % tuple(zeta)]
-    # Row by row, so no whole-grid list of Python floats is held; each dB
-    # value goes through math.log10 (metrics.to_db), since np.log10 can
+    # Row by row, so no whole-grid list of Python floats is held.  The floor
+    # and the multiply by 10 are metrics.to_db's own IEEE operations, done
+    # in numpy; only the log goes through math.log10, since np.log10 can
     # differ in the last bit, which %.17g prints.
     for xi, gains in zip(grid_pattern.xi_samples.tolist(), grid_pattern.gains):
-        lines.append(row % (xi, *map(metrics.to_db, gains.tolist())))
-    return "\n".join(lines) + "\n"
+        floored = np.maximum(gains, metrics._FLOOR_LIN).tolist()
+        db = np.fromiter(map(math.log10, floored), float, len(floored)) * 10.0
+        lines.append(row % (xi, *db.tolist()))
+    # An empty last line ends the text in a newline without copying it again.
+    lines.append("")
+    return "\n".join(lines)
 
 
 def read_pattern_csv(path) -> PatternGrid:
@@ -269,17 +279,30 @@ def cmd_link(args) -> int:
     # gives the norm and SNR that ris.cascaded_channel and ris.received_snr do.
     # The tx and rx arrays are uniform lines whose steering entries have unit
     # modulus, so their departure and arrival angles do not enter the report.
+    # The SNR is summed in logs, so no product of finite flags overflows.
+    try:
+        root_m = math.sqrt(args.m_r * args.m_t)
+    except OverflowError:
+        root_m = math.inf
+    snr_base_db = (10.0 * (math.log10(args.tx_power) + math.log10(args.m_r)
+                           - math.log10(args.noise_var))
+                   + 20.0 * (math.log10(abs(args.rho_r)) + math.log10(abs(args.rho_t))))
     entries = []
     for omega_2 in targets:
         gamma = ris.reflection_coefficient(config, scenario.incident, omega_2)
-        path = abs(args.rho_r * args.rho_t * gamma)
+        where = f"direction {omega_2.phi:g},{omega_2.theta:g}"
+        if gamma == 0:
+            raise ConfigError(f"{where}: gamma = 0, so the SNR is -inf dB")
+        fro_norm = abs(args.rho_r * args.rho_t * gamma) * root_m
+        if not math.isfinite(fro_norm):
+            raise ConfigError(f"{where}: channel_fro_norm overflows; lower "
+                              "--rho-t, --rho-r, --m-t or --m-r")
         entries.append({
             "phi": omega_2.phi,
             "theta": omega_2.theta,
             "gamma_abs": abs(gamma),
-            "channel_fro_norm": path * math.sqrt(args.m_r * args.m_t),
-            "snr_db": 10.0 * math.log10(args.tx_power * path ** 2 * args.m_r
-                                        / args.noise_var),
+            "channel_fro_norm": fro_norm,
+            "snr_db": snr_base_db + 20.0 * math.log10(abs(gamma)),
         })
     payload = {
         "tx_power_w": args.tx_power,

@@ -25,11 +25,11 @@ _VIRIDIS = [
 
 
 _ANCHORS = np.array(_VIRIDIS, dtype=float)
-_HEX = np.array([f"{k:02x}" for k in range(256)], dtype=object)
+_PACK = np.array([1 << 16, 1 << 8, 1])
 
 
-def _colors(frac: np.ndarray) -> np.ndarray:
-    """Hex colours of an array of fractions, clamped to [0, 1] (NaN reads as 0).
+def _rgb(frac: np.ndarray) -> np.ndarray:
+    """Colours 0xRRGGBB of an array of fractions, clamped to [0, 1] (NaN reads as 0).
 
     The arithmetic is the scalar interpolation's, element by element, and
     np.rint rounds half to even like Python's round, so each colour is
@@ -40,7 +40,15 @@ def _colors(frac: np.ndarray) -> np.ndarray:
     i = np.minimum(pos.astype(np.intp), len(_VIRIDIS) - 2)
     w = (pos - i)[..., None]
     rgb = np.rint((1 - w) * _ANCHORS[i] + w * _ANCHORS[i + 1]).astype(np.intp)
-    return "#" + _HEX[rgb[..., 0]] + _HEX[rgb[..., 1]] + _HEX[rgb[..., 2]]
+    return rgb @ _PACK
+
+
+class _HexColours(dict):
+    """"#rrggbb" of each 0xRRGGBB looked up, each string built on first use."""
+
+    def __missing__(self, rgb: int) -> str:
+        self[rgb] = name = "#%06x" % rgb
+        return name
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list:
@@ -81,15 +89,20 @@ def heatmap_svg(gains_db: np.ndarray, xi_samples: np.ndarray,
         out.append(f'<text x="{ml + plot_w / 2:.1f}" y="24" font-family="sans-serif" '
                    f'font-size="15" text-anchor="middle">{title}</text>')
 
-    # Sample cells; row 0 (smallest xi) is drawn at the bottom.  One row
-    # at a time, so no whole-grid array of colour strings is ever held.
-    heads = np.array([f'<rect x="{ml + c * cw:.2f}" y="' for c in range(g.shape[1])],
-                     dtype=object)
-    size = f'" width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" fill="'
+    # Sample cells; row 0 (smallest xi) is drawn at the bottom.  The text
+    # around each cell's y and fill is fixed per call, so a row is one join
+    # of those pieces with its y and fills slotted in.  Colours are computed
+    # a row at a time, so no whole-grid array is held.
+    n = g.shape[1]
+    size = f'width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}"'
+    cells = [None] * (4 * n + 1)
+    cells[0::2] = "\n".join(f'<rect x="{ml + c * cw:.2f}" y="%s" {size} fill="%s"/>'
+                            for c in range(n)).split("%s")
+    hexes = _HexColours()
     for r in range(g.shape[0]):
-        y = mt + plot_h - (r + 1) * ch
-        cells = heads + (f"{y:.2f}{size}" + _colors((g[r] - vmin) / span)) + '"/>'
-        out.append("\n".join(cells))
+        cells[1::4] = [f"{mt + plot_h - (r + 1) * ch:.2f}"] * n
+        cells[3::4] = map(hexes.__getitem__, _rgb((g[r] - vmin) / span).tolist())
+        out.append("".join(cells))
 
     out.append(f'<rect x="{ml:.1f}" y="{mt:.1f}" width="{plot_w:.1f}" '
                f'height="{plot_h:.1f}" fill="none" stroke="black" stroke-width="1"/>')
@@ -118,7 +131,8 @@ def heatmap_svg(gains_db: np.ndarray, xi_samples: np.ndarray,
     bar_x = ml + plot_w + 30.0
     bar_w = 18.0
     steps = 64
-    bar_colors = _colors((np.arange(steps) + 0.5) / steps)
+    bar_colors = list(map(hexes.__getitem__,
+                          _rgb((np.arange(steps) + 0.5) / steps).tolist()))
     for i in range(steps):
         y = mt + plot_h * (1.0 - (i + 1.0) / steps)
         out.append(f'<rect x="{bar_x:.1f}" y="{y:.2f}" width="{bar_w:.1f}" '
@@ -131,5 +145,6 @@ def heatmap_svg(gains_db: np.ndarray, xi_samples: np.ndarray,
                    f'font-family="sans-serif" font-size="11">{v:.1f}</text>')
     out.append(f'<text x="{bar_x + bar_w / 2:.1f}" y="{mt - 8:.1f}" '
                f'font-family="sans-serif" font-size="12" text-anchor="middle">dB</text>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    # An empty last line ends the text in a newline without copying it again.
+    out += ['</svg>', '']
+    return "\n".join(out)

@@ -342,6 +342,53 @@ def test_link_rejects_bad_float_flags(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def _link(tmp_path, name, *extra):
+    """In-process link on single_subregion; (exit code, report or None)."""
+    out = tmp_path / name
+    code = cli_main(["link", "--config", str(CONFIGS / "single_subregion.json"),
+                     "--out", str(out), *extra])
+    path = out / "link_report.json"
+    if not path.exists():
+        return code, None
+
+    def reject(constant):
+        raise ValueError(f"bare {constant} in link_report.json")
+    return code, json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+@pytest.mark.parametrize("extra,shift_db", [
+    # 10*log10(1e300) + 10*log10(1e5) - 10*log10(1e-300 / 1e-6) dB
+    (("--tx-power", "1e300", "--m-r", "100000", "--noise-var", "1e-300"), 5990.0),
+    (("--rho-t", "1e-200", "--rho-r", "1e-200"), -8000.0),
+])
+def test_link_extreme_flags_write_finite_snr(tmp_path, extra, shift_db):
+    """The SNR is summed in logs: flags whose linear product overflows or
+    underflows still give the finite SNR, shifted by their dB sum."""
+    code, base = _link(tmp_path, "base")
+    assert code == 0
+    code, report = _link(tmp_path, "extreme", *extra)
+    assert code == 0
+    for b, e in zip(base["directions"], report["directions"], strict=True):
+        assert e["snr_db"] - b["snr_db"] == pytest.approx(shift_db, abs=1e-9)
+        assert e["gamma_abs"] == b["gamma_abs"]
+
+
+@pytest.mark.parametrize("extra", [("--rho-t", "1e200", "--rho-r", "1e200"),
+                                   ("--m-r", "1" + "0" * 400)])
+def test_link_overflowing_channel_norm_exits_2(tmp_path, capsys, extra):
+    code, report = _link(tmp_path, "big", *extra)
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert "channel_fro_norm" in err and "--rho-t" in err and "--rho-r" in err
+
+
+def test_link_null_reflection_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rb.ris, "reflection_coefficient", lambda *_: 0j)
+    code, report = _link(tmp_path, "null")
+    assert (code, report) == (2, None)
+    assert "gamma = 0" in capsys.readouterr().err
+
+
 def test_link_rejects_bad_angles(tmp_path):
     proc = run_cli("link", "--config", str(CONFIGS / "single_subregion.json"),
                    "--omega-2", "2.5,0", "--out", str(tmp_path))

@@ -6,6 +6,7 @@ The rewritten writers must reproduce them byte for byte, rounding and
 formatting edge cases included.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -169,6 +170,45 @@ def test_heatmap_matches_scalar_reference_on_strided_grid():
     assert svg.count("<rect") == 200 * 200 + 64 + 3
 
 
+@st.composite
+def heatmap_grids(draw):
+    """Up to 40x40 dB values: half on the colour steps of a 40 dB range
+    (-30 + j/32, see _edge_case_grid), half anywhere in and around it,
+    plus a few NaN and +-inf.  A seeded generator fills the grid, since
+    drawing each value through hypothesis is slow at this size."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    on_steps = -30.0 + rng.integers(-80, 1400, shape) / 32.0
+    gains_db = np.where(rng.random(shape) < 0.5, on_steps,
+                        rng.uniform(-80.0, 30.0, shape))
+    for value in draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
+                               max_size=3)):
+        gains_db[rng.integers(shape[0]), rng.integers(shape[1])] = value
+    return gains_db
+
+
+@st.composite
+def heatmap_ranges(draw):
+    """Default, explicit and degenerate (vmin == vmax) colour ranges."""
+    kind = draw(st.sampled_from(["default", "vmax", "explicit", "equal"]))
+    vmax = None if kind == "default" else draw(st.floats(-60.0, 20.0))
+    if kind == "explicit":
+        return {"vmin": vmax - draw(st.floats(0.5, 80.0)), "vmax": vmax}
+    if kind == "equal":
+        return {"vmin": vmax, "vmax": vmax}
+    return {"vmax": vmax}
+
+
+@given(gains_db=heatmap_grids(), limits=heatmap_ranges(),
+       title=st.sampled_from(["", "random"]))
+def test_heatmap_matches_scalar_reference_on_random_grids(gains_db, limits, title):
+    xi = np.linspace(-1.0, 1.0, gains_db.shape[0])
+    zeta = np.linspace(-2.0, 2.0, gains_db.shape[1])
+    with np.errstate(invalid="ignore"):  # +inf in a default range: inf - inf
+        assert heatmap_svg(gains_db, xi, zeta, title=title, **limits) \
+            == _ref_heatmap_svg(gains_db, xi, zeta, title=title, **limits)
+
+
 def test_pattern_csv_matches_scalar_reference_and_round_trips(tmp_path):
     rng = np.random.default_rng(7)
     gains = 10.0 ** rng.uniform(-8.0, 2.0, (9, 14))
@@ -192,9 +232,10 @@ def test_pattern_csv_matches_scalar_reference_and_round_trips(tmp_path):
 
 
 @st.composite
-def pattern_grids(draw):
+def pattern_grids(draw, specials=False):
     """Random grid sizes and axes; gains log-uniform from 1e-300 to 1e6 plus
-    one exact zero, so every grid holds a value below the -120 dB floor."""
+    one exact zero, so every grid holds a value below the -120 dB floor.
+    With ``specials``, some gains are also NaN, +inf or exactly the floor."""
     n_xi, n_zeta = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     finite = st.floats(-1e3, 1e3, allow_nan=False)
     xi = np.array(draw(st.lists(finite, min_size=n_xi, max_size=n_xi)))
@@ -203,7 +244,19 @@ def pattern_grids(draw):
                               max_size=n_xi * n_zeta))
     gains = 10.0 ** np.array(exponents).reshape(n_xi, n_zeta)
     gains[draw(st.integers(0, n_xi - 1)), draw(st.integers(0, n_zeta - 1))] = 0.0
+    if specials:
+        for value in draw(st.lists(st.sampled_from(
+                [math.nan, math.inf, 10.0 ** (metrics.DB_FLOOR / 10.0)]), max_size=4)):
+            gains[draw(st.integers(0, n_xi - 1)),
+                  draw(st.integers(0, n_zeta - 1))] = value
     return PatternGrid(xi_samples=xi, zeta_samples=zeta, gains=gains)
+
+
+@given(pattern=pattern_grids(specials=True))
+def test_pattern_csv_matches_scalar_reference_on_random_grids(pattern):
+    """Byte for byte, so a last-bit change in any dB value fails (the
+    round trip below only holds to a relative 1e-12)."""
+    assert pattern_csv_text(pattern) == _ref_pattern_csv_text(pattern)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -220,6 +273,37 @@ def test_pattern_csv_round_trips_on_random_grids(tmp_path, pattern):
     assert np.allclose(back.gains, floored, rtol=1e-12, atol=0.0)
 
 
+def _ref_coefficient_lines(surface):
+    lines = ["m_v,m_h,beta,theta_radians"]
+    for m_v in range(surface.geom.m_v):
+        for m_h in range(surface.geom.m_h):
+            lines.append(f"{m_v},{m_h},{_ref_fmt(surface.betas[m_v, m_h])},"
+                         f"{_ref_fmt(surface.thetas[m_v, m_h])}")
+    return lines
+
+
+@pytest.mark.parametrize("m_v,m_h", [(8, 12), (1, 5), (5, 1)])
+def test_coefficient_table_matches_scalar_reference_on_non_square_apertures(
+        tmp_path, m_v, m_h):
+    """Rows and columns of unequal length, so swapping m_v and m_h anywhere
+    in the table's layout changes its bytes."""
+    config = tmp_path / "aperture.json"
+    config.write_text(json.dumps({
+        "array": {"m_v": m_v, "m_h": m_h},
+        "grid": {"q_v": 4, "q_h": 4},
+        "lobes": [{"phi": "1/16 pi", "theta": "3/16 pi", "width": "pi/4"}],
+        "incident": {"phi": "-1/16 pi", "theta": "1/8 pi"},
+    }), encoding="utf-8")
+    assert cli.main(["design", "--config", str(config), "--out", str(tmp_path)]) == 0
+    _, surface, _ = cli._run_design(load_scenario(str(config)))
+    lines = _ref_coefficient_lines(surface)
+    assert len(lines) == 1 + m_v * m_h
+    # Every element has its own (beta, theta), so a misplaced value shows.
+    assert len({line.split(",", 2)[2] for line in lines[1:]}) == m_v * m_h
+    assert (tmp_path / "ris_coefficients.csv").read_text(encoding="utf-8") \
+        == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("command", ["design", "cuts"])
 def test_design_and_cut_tables_match_scalar_reference(command, tmp_path):
     config = str(Path(__file__).resolve().parent.parent
@@ -228,12 +312,7 @@ def test_design_and_cut_tables_match_scalar_reference(command, tmp_path):
     scenario = load_scenario(config)
     result, surface, _ = cli._run_design(scenario)
     if command == "design":
-        lines = ["m_v,m_h,beta,theta_radians"]
-        for m_v in range(scenario.geom.m_v):
-            for m_h in range(scenario.geom.m_h):
-                lines.append(f"{m_v},{m_h},{_ref_fmt(surface.betas[m_v, m_h])},"
-                             f"{_ref_fmt(surface.thetas[m_v, m_h])}")
-        expected = {"ris_coefficients.csv": lines}
+        expected = {"ris_coefficients.csv": _ref_coefficient_lines(surface)}
     else:
         expected = {}
         for i, spec in enumerate(scenario.output.cuts):
